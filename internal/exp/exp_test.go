@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,18 @@ func testProfile(t *testing.T) Profile {
 	}
 	return Quick()
 }
+
+// pinProfile is the Short scale with no solve time limit: every solve
+// runs to optimality, so the pinned columns cannot depend on how fast the
+// runner is (a slow or -race runner would otherwise stop solves early).
+func pinProfile() Profile {
+	p := Short()
+	p.ExactTimeLimit = 0
+	return p
+}
+
+// near compares a pinned table figure.
+func near(got, want float64) bool { return math.Abs(got-want) < 1e-6 }
 
 func TestProfiles(t *testing.T) {
 	for _, name := range []string{"ci", "quick", "short", "paper", ""} {
@@ -124,6 +137,29 @@ func TestTable2Quick(t *testing.T) {
 	if !strings.Contains(out, "Table 2") {
 		t.Fatalf("render:\n%s", out)
 	}
+
+	// Pinned sub-instance sizes (Ave. #Vars/Clauses) per row.
+	want := map[string][2]float64{
+		"par8-1-c@0.04": {9, 18},
+		"ii8a1@0.04":    {16, 29},
+		"par8-3-c@0.04": {10, 7},
+		"jnh201@0.04":   {7, 3},
+		"jnh1@0.04":     {19, 41},
+		"ii8a2@0.04":    {15, 29},
+		"ii8b2@0.04":    {10, 29},
+		"f600@0.04":     {3, 1},
+	}
+	pinned := RunTable2(pinProfile())
+	if len(pinned.Rows) != len(want) {
+		t.Fatalf("pinned rows = %d, want %d", len(pinned.Rows), len(want))
+	}
+	for _, r := range pinned.Rows {
+		w, ok := want[r.Name]
+		if !ok || r.Err != "" || r.Failed != 0 || !near(r.AvgVars, w[0]) || !near(r.AvgCls, w[1]) {
+			t.Errorf("%s: %.1f/%.1f failed=%d err=%q, want %.1f/%.1f failed=0",
+				r.Name, r.AvgVars, r.AvgCls, r.Failed, r.Err, w[0], w[1])
+		}
+	}
 }
 
 // TestTable3Quick asserts the preserving-EC shape: with-EC preservation
@@ -153,6 +189,29 @@ func TestTable3Quick(t *testing.T) {
 	out := res.Render()
 	if !strings.Contains(out, "Table 3") {
 		t.Fatalf("render:\n%s", out)
+	}
+
+	// Pinned % Solution Original → % Solution with EC per row.
+	want := map[string][2]float64{
+		"par8-1-c@0.04": {68.18181818181817, 100},
+		"ii8a1@0.04":    {100, 100},
+		"par8-3-c@0.04": {95, 100},
+		"jnh201@0.04":   {82.6086956521739, 100},
+		"jnh1@0.04":     {75, 100},
+		"ii8a2@0.04":    {50, 100},
+		"ii8b2@0.04":    {68, 100},
+		"f600@0.04":     {75, 100},
+	}
+	pinned := RunTable3(pinProfile())
+	if len(pinned.Rows) != len(want) {
+		t.Fatalf("pinned rows = %d, want %d", len(pinned.Rows), len(want))
+	}
+	for _, r := range pinned.Rows {
+		w, ok := want[r.Name]
+		if !ok || r.Err != "" || r.Failed != 0 || !near(r.PctOriginal, w[0]) || !near(r.PctWithEC, w[1]) {
+			t.Errorf("%s: %.2f%% -> %.2f%% failed=%d err=%q, want %.2f%% -> %.2f%% failed=0",
+				r.Name, r.PctOriginal, r.PctWithEC, r.Failed, r.Err, w[0], w[1])
+		}
 	}
 }
 
