@@ -16,6 +16,7 @@ import (
 	"ilpec/internal/cnf"
 	"ilpec/internal/coloring"
 	"ilpec/internal/core"
+	"ilpec/internal/domain"
 	"ilpec/internal/encode"
 	"ilpec/internal/gen"
 	"ilpec/internal/heurilp"
@@ -129,11 +130,11 @@ func BenchmarkTable2FastEC(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.FastResolve(fPrime, p, core.FastOptions{})
+				_, stats, err := domain.Fast(core.CNF(), fPrime, p, domain.FastOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !res.AlreadySatisfied && res.SubVars == 0 {
+				if !stats.AlreadyValid && stats.SubSize == 0 {
 					b.Fatal("empty sub-instance")
 				}
 			}
@@ -185,14 +186,11 @@ func BenchmarkTable3Preserve(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.PreserveResolve(fPrime, p, core.PreserveOptions{
-					Mode:  core.PreserveMaximize,
-					Solve: ilp.Options{TimeLimit: benchSolveLimit},
-				})
+				sol, _, err := domain.Preserve(core.CNF(), fPrime, p, ilp.Options{TimeLimit: benchSolveLimit})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Preserved < 0 {
+				if sol.(cnf.Assignment).PreservedFraction(p) < 0 {
 					b.Fatal("bogus preservation")
 				}
 			}
@@ -368,7 +366,7 @@ func BenchmarkAblationFastVsFull(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.FastResolve(fPrime, p, core.FastOptions{}); err != nil {
+				if _, _, err := domain.Fast(core.CNF(), fPrime, p, domain.FastOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -421,10 +419,9 @@ func BenchmarkAblationPreserveMode(b *testing.B) {
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
+			d := core.CNFWith(core.CNFOptions{Preserve: m.opts})
 			for i := 0; i < b.N; i++ {
-				opts := m.opts
-				opts.Solve = ilp.Options{TimeLimit: benchSolveLimit}
-				if _, err := core.PreserveResolve(fPrime, p, opts); err != nil {
+				if _, _, err := domain.Preserve(d, fPrime, p, ilp.Options{TimeLimit: benchSolveLimit}); err != nil {
 					b.Fatal(err)
 				}
 			}

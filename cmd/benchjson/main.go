@@ -9,10 +9,12 @@
 //
 // With -compare BASELINE.json the freshly parsed results are also diffed
 // against a committed baseline: any benchmark whose name matches the
-// -match prefix and whose ns/op regressed by more than -threshold
-// (default 20%) fails the run with exit code 1 — the CI bench job's
-// regression gate for solver wall-clock. Benchmarks present on only one
-// side are reported but never fail the gate.
+// -match regular expression (unanchored, as in go test -bench, applied to
+// the name without its "Benchmark" prefix; -match 'Solver|Resolve' gates
+// every SolverX and every XResolve) and whose ns/op regressed by more than
+// -threshold (default 20%) fails the run with exit code 1 — the CI bench
+// job's regression gate for solver wall-clock. Benchmarks present on only
+// one side are reported but never fail the gate.
 //
 // The GOMAXPROCS suffix (-8 in BenchmarkFoo-8) is stripped so names are
 // stable across runner shapes. Benchmarks that appear multiple times (e.g.
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,10 +46,15 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	compare := flag.String("compare", "", "baseline JSON to diff against; regressions past -threshold fail")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional ns/op regression vs the baseline")
-	match := flag.String("match", "", "only gate benchmarks whose name starts with this prefix")
+	match := flag.String("match", "", "only gate benchmarks whose name matches this regular expression")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: reads bench output from stdin; no arguments expected")
+		os.Exit(2)
+	}
+	matchRE, err := regexp.Compile(*match)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: bad -match:", err)
 		os.Exit(2)
 	}
 	results, err := parse(os.Stdin)
@@ -76,7 +84,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		regressions := compareResults(os.Stderr, results, baseline, *match, *threshold)
+		regressions := compareResults(os.Stderr, results, baseline, matchRE, *threshold)
 		if regressions > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%% vs %s\n",
 				regressions, *threshold*100, *compare)
@@ -100,9 +108,9 @@ func loadBaseline(path string) (map[string]Metrics, error) {
 }
 
 // compareResults reports per-benchmark deltas to w and returns how many
-// gated benchmarks (name matching the prefix, present on both sides)
-// regressed past the threshold. One-sided benchmarks are informational.
-func compareResults(w io.Writer, results, baseline map[string]Metrics, match string, threshold float64) int {
+// gated benchmarks (name matching match, present on both sides) regressed
+// past the threshold. One-sided benchmarks are informational.
+func compareResults(w io.Writer, results, baseline map[string]Metrics, match *regexp.Regexp, threshold float64) int {
 	names := make([]string, 0, len(results))
 	for name := range results {
 		names = append(names, name)
@@ -110,7 +118,7 @@ func compareResults(w io.Writer, results, baseline map[string]Metrics, match str
 	sort.Strings(names)
 	regressions := 0
 	for _, name := range names {
-		if match != "" && !strings.HasPrefix(name, match) {
+		if !match.MatchString(name) {
 			continue
 		}
 		old, ok := baseline[name]
@@ -133,7 +141,7 @@ func compareResults(w io.Writer, results, baseline map[string]Metrics, match str
 		}
 	}
 	for name := range baseline {
-		if match != "" && !strings.HasPrefix(name, match) {
+		if !match.MatchString(name) {
 			continue
 		}
 		if _, ok := results[name]; !ok {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -80,7 +81,7 @@ func TestCompareResults(t *testing.T) {
 		"ParseOnly":      {NsPerOp: 9000}, // filtered out by -match Solver
 	}
 	var buf strings.Builder
-	n := compareResults(&buf, results, baseline, "Solver", 0.20)
+	n := compareResults(&buf, results, baseline, regexp.MustCompile("Solver"), 0.20)
 	if n != 1 {
 		t.Fatalf("regressions = %d, want 1\n%s", n, buf.String())
 	}
@@ -95,7 +96,42 @@ func TestCompareResults(t *testing.T) {
 		t.Fatalf("one-sided benchmarks not reported:\n%s", out)
 	}
 	// Everything within threshold: gate passes.
-	if n := compareResults(io.Discard, baseline, baseline, "", 0.20); n != 0 {
+	if n := compareResults(io.Discard, baseline, baseline, regexp.MustCompile(""), 0.20); n != 0 {
 		t.Fatalf("identical runs regressed: %d", n)
+	}
+}
+
+// TestCompareResultsCIPattern runs the CI bench gate's exact -match
+// pattern: it is an alternation, so it must gate both the Solver*
+// benchmarks and the *Resolve ones.
+func TestCompareResultsCIPattern(t *testing.T) {
+	const ciMatch = "Solver|Resolve" // .github/workflows/ci.yml, bench job
+	baseline := map[string]Metrics{
+		"SolverCutsOn":    {NsPerOp: 1000},
+		"SolverSetCover":  {NsPerOp: 1000},
+		"InstanceResolve": {NsPerOp: 1000},
+		"ScratchResolve":  {NsPerOp: 1000},
+		"PresolvePass":    {NsPerOp: 1000},
+	}
+	results := map[string]Metrics{
+		"SolverCutsOn":    {NsPerOp: 64000}, // 64x: regression
+		"SolverSetCover":  {NsPerOp: 1050},
+		"InstanceResolve": {NsPerOp: 1300}, // +30%: regression
+		"ScratchResolve":  {NsPerOp: 900},
+		"PresolvePass":    {NsPerOp: 5000}, // not gated
+	}
+	var buf strings.Builder
+	n := compareResults(&buf, results, baseline, regexp.MustCompile(ciMatch), 0.20)
+	out := buf.String()
+	if n != 2 {
+		t.Fatalf("regressions = %d, want 2\n%s", n, out)
+	}
+	for _, want := range []string{"REGRESSION SolverCutsOn", "REGRESSION InstanceResolve", "ok ScratchResolve", "ok SolverSetCover"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "PresolvePass") {
+		t.Fatalf("ungated benchmark reported:\n%s", out)
 	}
 }

@@ -23,6 +23,7 @@ import (
 
 	"ilpec/internal/cnf"
 	"ilpec/internal/core"
+	"ilpec/internal/domain"
 	"ilpec/internal/encode"
 	"ilpec/internal/ilp"
 )
@@ -91,27 +92,28 @@ func main() {
 		}
 		switch cmd {
 		case "fast":
-			res, err := core.FastResolve(fPrime, p, core.FastOptions{Solve: opts})
+			sol, stats, err := domain.Fast(core.CNF(), fPrime, p, domain.FastOptions{Solve: opts})
 			if err != nil {
 				fatal(err)
 			}
-			if res.AlreadySatisfied {
+			if stats.AlreadyValid {
 				fmt.Println("original solution survives the change; nothing to do")
 				return
 			}
+			// The set-cover encoding adds one consistency row per variable.
 			fmt.Printf("fast EC: sub-instance %d vars / %d clauses (escalations %d)\n",
-				res.SubVars, res.SubClauses, res.Escalations)
-			report(fPrime, res.Assignment, res.ILP)
-			fmt.Printf("preserved: %.1f%%\n", 100*res.Assignment.PreservedFraction(p))
+				stats.SubSize, stats.SubRows-stats.SubSize, stats.Escalations)
+			a := sol.(cnf.Assignment)
+			report(fPrime, a, stats.ILP)
+			fmt.Printf("preserved: %.1f%%\n", 100*a.PreservedFraction(p))
 		case "preserve":
-			res, err := core.PreserveResolve(fPrime, p, core.PreserveOptions{
-				Mode: core.PreserveMaximize, Solve: opts,
-			})
+			sol, res, err := domain.Preserve(core.CNF(), fPrime, p, opts)
 			if err != nil {
 				fatal(err)
 			}
-			report(fPrime, res.Assignment, res.ILP)
-			fmt.Printf("preserved: %.1f%%\n", 100*res.Preserved)
+			a := sol.(cnf.Assignment)
+			report(fPrime, a, res)
+			fmt.Printf("preserved: %.1f%%\n", 100*a.PreservedFraction(p))
 		case "replan":
 			a, res, err := core.PlainResolve(fPrime, opts)
 			if err != nil {

@@ -29,8 +29,7 @@
 //
 // Endpoints (see internal/service.NewHandler and the README walkthrough):
 //
-//	POST   /v1/sessions              create a session ("domain" + "problem",
-//	                                 or the legacy DIMACS/clause-list shape;
+//	POST   /v1/sessions              create a session ("domain" + "problem";
 //	                                 optional "id" for idempotent creates)
 //	GET    /v1/sessions              list session ids (?limit= and ?after=
 //	                                 page; "next" is the cursor)

@@ -91,7 +91,7 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
 
-	body := `{"clauses": [[1,2],[-1,3]]}`
+	body := `{"domain": "cnf", "problem": {"clauses": [[1,2],[-1,3]]}}`
 	resp, err = http.Post(base+"/v1/sessions", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestServeClientErrorPaths(t *testing.T) {
 		wantCode string
 	}{
 		"unknown domain":   {`{"domain": "quantum", "problem": {}}`, "unknown_domain"},
-		"unknown strategy": {`{"clauses": [[1,2]], "strategy": "psychic"}`, "unknown_strategy"},
+		"unknown strategy": {`{"domain": "cnf", "problem": {"clauses": [[1,2]]}, "strategy": "psychic"}`, "unknown_strategy"},
 		"bad problem":      {`{"domain": "coloring", "problem": {"vertices": 3, "k": 0}}`, "bad_problem"},
 		"missing problem":  {`{"domain": "sched"}`, "bad_problem"},
 	} {
@@ -327,7 +327,7 @@ func TestServeDomainsEndpoint(t *testing.T) {
 // cuts on by default).
 func TestServeMetricsCounters(t *testing.T) {
 	base := startTestServer(t)
-	body := `{"clauses": [[1,2],[-1,3],[2,3]]}`
+	body := `{"domain": "cnf", "problem": {"clauses": [[1,2],[-1,3],[2,3]]}}`
 	resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestServeRestartSurvivesSession(t *testing.T) {
 	dataDir := t.TempDir()
 	base, stop := startStoppableServer(t, "-data-dir", dataDir)
 
-	status, raw := postJSON(t, base+"/v1/sessions", `{"clauses": [[1,2],[-1,3],[2,4],[-3,-4,5],[5,6]]}`)
+	status, raw := postJSON(t, base+"/v1/sessions", `{"domain": "cnf", "problem": {"clauses": [[1,2],[-1,3],[2,4],[-3,-4,5],[5,6]]}}`)
 	if status != http.StatusCreated {
 		t.Fatalf("create: %d %s", status, raw)
 	}
@@ -479,7 +479,7 @@ func TestServeShutdownFlushesStore(t *testing.T) {
 	dataDir := t.TempDir()
 	base, stop := startStoppableServer(t, "-data-dir", dataDir, "-snapshot-every", "1000000")
 
-	status, raw := postJSON(t, base+"/v1/sessions", `{"clauses": [[1,2],[-1,3]]}`)
+	status, raw := postJSON(t, base+"/v1/sessions", `{"domain": "cnf", "problem": {"clauses": [[1,2],[-1,3]]}}`)
 	if status != http.StatusCreated {
 		t.Fatalf("create: %d %s", status, raw)
 	}
@@ -527,7 +527,7 @@ func TestServeEvictionOverHTTP(t *testing.T) {
 	base := startTestServer(t, "-data-dir", t.TempDir(), "-max-live-sessions", "1")
 	var ids []string
 	for i := 0; i < 3; i++ {
-		status, raw := postJSON(t, base+"/v1/sessions", `{"clauses": [[1,2],[-1,3]]}`)
+		status, raw := postJSON(t, base+"/v1/sessions", `{"domain": "cnf", "problem": {"clauses": [[1,2],[-1,3]]}}`)
 		if status != http.StatusCreated {
 			t.Fatalf("create %d: %d %s", i, status, raw)
 		}
@@ -610,7 +610,7 @@ func TestServeFaultPlanDegradedServing(t *testing.T) {
 		"-fault-plan", "append:error:every=1;snapshot:error:every=1",
 		"-quarantine-after", "1", "-reprobe-interval", "-1s",
 	)
-	status, raw := postJSON(t, base+"/v1/sessions", `{"clauses": [[1,2],[-1,3]]}`)
+	status, raw := postJSON(t, base+"/v1/sessions", `{"domain": "cnf", "problem": {"clauses": [[1,2],[-1,3]]}}`)
 	if status != http.StatusCreated {
 		t.Fatalf("create with store down: %d %s", status, raw)
 	}

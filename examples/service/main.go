@@ -60,7 +60,8 @@ func main() {
 	for i := 0; i < 3; i++ {
 		// 1. Create a session over the design (a 6-variable CNF).
 		id := fmt.Sprint(post(ts.URL+"/v1/sessions", `{
-		  "clauses": [[1,2],[-1,3],[2,4],[-3,-4,5],[5,6]],
+		  "domain": "cnf",
+		  "problem": {"clauses": [[1,2],[-1,3],[2,4],[-3,-4,5],[5,6]]},
 		  "strategy": "fast"
 		}`, "id"))
 		fmt.Printf("\n== session %s ==\n", id)
@@ -123,7 +124,8 @@ func main() {
 	dsvc := ilpec.NewService(ilpec.ServiceOptions{Store: st})
 	ts2 := httptest.NewServer(ilpec.NewServiceHandler(dsvc))
 	id := fmt.Sprint(post(ts2.URL+"/v1/sessions", `{
-	  "clauses": [[1,2],[-1,3],[2,4],[-3,-4,5],[5,6]]
+	  "domain": "cnf",
+	  "problem": {"clauses": [[1,2],[-1,3],[2,4],[-3,-4,5],[5,6]]}
 	}`, "id"))
 	base := ts2.URL + "/v1/sessions/" + id
 	postRaw(base+"/solve", "")

@@ -185,10 +185,6 @@ func EliminationSurvival(f *Formula, a Assignment) (survived, total int) {
 // FastOptions configures fast EC.
 type FastOptions = core.FastOptions
 
-// FastResult is the outcome of a CNF fast-EC re-solve (see
-// FlowOptions.Fast and FastResolveDomain).
-type FastResult = core.FastResult
-
 // SimplifyResult is the Figure-2 closure output.
 type SimplifyResult = core.SimplifyResult
 
@@ -211,10 +207,6 @@ const (
 	PreserveHard     = core.PreserveHard
 	PreserveWeighted = core.PreserveWeighted
 )
-
-// PreserveResult is the outcome of a CNF preserving-EC re-solve (see
-// FlowOptions.Preserve and PreserveResolveDomain).
-type PreserveResult = core.PreserveResult
 
 // ---- the Figure-1 flow -----------------------------------------------------
 

@@ -11,9 +11,10 @@ import (
 )
 
 // This file adapts graph k-coloring to the generic domain.Domain
-// interface, replacing the bespoke FastRecolor/PreserveRecolor/
-// SolveEnable entry points as the serving-layer path. Problem values are
-// *coloring.Problem, solutions are Coloring, changes are coloring.Change.
+// interface: the generic engine runs its fast and preserving EC, and its
+// enabling EC shares the spare-color terms of SolveEnable. Problem values
+// are *coloring.Problem, solutions are Coloring, changes are
+// coloring.Change.
 
 // Problem is the EC problem value of the coloring domain: a graph plus
 // the palette size K.

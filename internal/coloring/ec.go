@@ -2,7 +2,6 @@ package coloring
 
 import (
 	"fmt"
-	"sort"
 
 	"ilpec/internal/ilp"
 )
@@ -15,7 +14,7 @@ import (
 //     can be absorbed by a local recolor (the coloring analogue of
 //     2-satisfiability / flip support);
 //   - fast EC: after edge additions, only the conflicted vertices and
-//     their closure are re-colored;
+//     their closure are re-colored (colorRegion in domain.go);
 //   - preserving EC: re-solve under an objective that maximizes the number
 //     of vertices keeping their color.
 
@@ -127,99 +126,9 @@ func SolveEnable(g *Graph, k int, hard bool, w float64, warm Coloring, opts ilp.
 	}
 }
 
-// FastRecolorResult reports the outcome of FastRecolor.
-type FastRecolorResult struct {
-	AlreadyValid bool
-	Coloring     Coloring
-	// SubVertices is the number of vertices re-colored.
-	SubVertices int
-	// Escalations counts ring expansions needed.
-	Escalations int
-	ILP         ilp.Result
-}
-
-// FastRecolor implements the fast-EC analogue on coloring: given a changed
-// graph and the previous coloring, it recolors only the endpoints of
-// violated edges (growing the region on demand) with all other colors
-// frozen.
-func FastRecolor(g *Graph, prev Coloring, k int, opts ilp.Options) (*FastRecolorResult, error) {
-	// Conflicted vertices.
-	region := map[int]bool{}
-	for _, e := range g.Edges() {
-		if prev[e[0]] != 0 && prev[e[0]] == prev[e[1]] {
-			region[e[0]] = true
-			region[e[1]] = true
-		}
-	}
-	for v := 1; v <= g.N; v++ {
-		if v >= len(prev) || prev[v] < 1 || prev[v] > k {
-			region[v] = true // uncolored or out-of-palette vertices join
-		}
-	}
-	if len(region) == 0 {
-		return &FastRecolorResult{AlreadyValid: true, Coloring: prev.Clone()}, nil
-	}
-	for esc := 0; ; esc++ {
-		col, res, err := solveRegion(g, prev, k, region, opts)
-		if err == nil {
-			return &FastRecolorResult{
-				Coloring: col, SubVertices: len(region), Escalations: esc, ILP: res,
-			}, nil
-		}
-		// Escalate: absorb all neighbors of the region.
-		grew := false
-		var members []int
-		for v := range region {
-			members = append(members, v)
-		}
-		sort.Ints(members)
-		for _, v := range members {
-			for _, u := range g.Neighbors(v) {
-				if !region[u] {
-					region[u] = true
-					grew = true
-				}
-			}
-		}
-		if !grew {
-			return nil, fmt.Errorf("coloring: fast recolor infeasible even on full region: %w", err)
-		}
-	}
-}
-
-// solveRegion recolors exactly the region vertices, freezing the rest.
-func solveRegion(g *Graph, prev Coloring, k int, region map[int]bool, opts ilp.Options) (Coloring, ilp.Result, error) {
-	e := NewEncoding(g, k)
-	m := e.Model
-	for v := 1; v <= g.N; v++ {
-		if region[v] {
-			continue
-		}
-		c := prev[v]
-		if c < 1 || c > k {
-			return nil, ilp.Result{}, fmt.Errorf("coloring: frozen vertex %d has no valid color", v)
-		}
-		m.AddRow(fmt.Sprintf("freeze_%d", v), []ilp.Coef{{Var: e.XCol(v, c), Val: 1}}, ilp.GE, 1)
-	}
-	opts.WarmStart = e.EncodeColoring(prev)
-	res := ilp.Solve(m, opts)
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		col := e.Decode(res.Solution)
-		if !col.Valid(g, k) {
-			return nil, res, fmt.Errorf("coloring: recolored coloring invalid (internal error)")
-		}
-		return col, res, nil
-	case ilp.Infeasible:
-		return nil, res, fmt.Errorf("coloring: region recolor infeasible")
-	default:
-		return nil, res, fmt.Errorf("coloring: region recolor hit limits (%s)", res.Status)
-	}
-}
-
 // addPreserveTerms replaces the palette-minimizing objective of an
-// existing encoding with pure preservation against prev (shared by
-// PreserveRecolor and the domain adapter).
+// existing encoding with pure preservation against prev (the domain
+// adapter's PreserveTerms).
 func addPreserveTerms(e *Encoding, prev Coloring) {
 	m, g, k := e.Model, e.Graph, e.K
 	for c := 1; c <= k; c++ {
@@ -229,26 +138,5 @@ func addPreserveTerms(e *Encoding, prev Coloring) {
 		if c := prev[v]; c >= 1 && c <= k {
 			m.SetObj(e.XCol(v, c), -1) // maximize matches
 		}
-	}
-}
-
-// PreserveRecolor re-solves the whole instance maximizing the number of
-// vertices that keep their previous color (§7 analogue).
-func PreserveRecolor(g *Graph, prev Coloring, k int, opts ilp.Options) (Coloring, ilp.Result, error) {
-	e := NewEncoding(g, k)
-	addPreserveTerms(e, prev)
-	opts.WarmStart = e.EncodeColoring(prev)
-	res := ilp.Solve(e.Model, opts)
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		col := e.Decode(res.Solution)
-		if !col.Valid(g, k) {
-			return nil, res, fmt.Errorf("coloring: preserving coloring invalid (internal error)")
-		}
-		return col, res, nil
-	case ilp.Infeasible:
-		return nil, res, fmt.Errorf("coloring: graph is not %d-colorable", k)
-	default:
-		return nil, res, fmt.Errorf("coloring: preserving solve hit limits (%s)", res.Status)
 	}
 }

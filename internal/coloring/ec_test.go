@@ -3,8 +3,18 @@ package coloring
 import (
 	"testing"
 
+	"ilpec/internal/domain"
 	"ilpec/internal/ilp"
 )
+
+// fastRecolor runs the §6 engine over the coloring adapter.
+func fastRecolor(g *Graph, prev Coloring, k int) (Coloring, domain.FastStats, error) {
+	sol, stats, err := domain.Fast(Domain(), &Problem{G: g, K: k}, prev, domain.FastOptions{})
+	if err != nil {
+		return nil, stats, err
+	}
+	return sol.(Coloring), stats, nil
+}
 
 func TestEncodingShape(t *testing.T) {
 	g := triangle()
@@ -159,33 +169,36 @@ func TestFastRecolorAbsorbsEdge(t *testing.T) {
 		t.Skip("no monochromatic non-edge available")
 	}
 	g.AddEdge(u, v)
-	res, err := FastRecolor(g, prev, 4, ilp.Options{})
+	col, stats, err := fastRecolor(g, prev, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AlreadyValid {
+	if stats.AlreadyValid {
 		t.Fatal("edge addition must conflict")
 	}
-	if !res.Coloring.Valid(g, 4) {
+	if !col.Valid(g, 4) {
 		t.Fatal("recoloring invalid")
 	}
-	if res.SubVertices > g.N/2 && res.Escalations == 0 {
-		t.Fatalf("recolor region suspiciously large: %d", res.SubVertices)
+	if stats.SubSize > g.N/2 && stats.Escalations == 0 {
+		t.Fatalf("recolor region suspiciously large: %d", stats.SubSize)
 	}
 	// Outside the initial conflict set colors should mostly survive.
-	if res.Coloring.Agreement(prev) < 0.5 {
-		t.Fatalf("agreement %.2f too low", res.Coloring.Agreement(prev))
+	if col.Agreement(prev) < 0.5 {
+		t.Fatalf("agreement %.2f too low", col.Agreement(prev))
 	}
 }
 
 func TestFastRecolorNoConflict(t *testing.T) {
 	g, planted := PlantedColorable(8, 3, 0.4, 21)
-	res, err := FastRecolor(g, Coloring(planted), 3, ilp.Options{})
+	col, stats, err := fastRecolor(g, Coloring(planted), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AlreadyValid {
-		t.Fatal("valid coloring should be kept")
+	if !stats.AlreadyValid || stats.SubRows != 0 {
+		t.Fatalf("valid coloring should be kept without a solve: %+v", stats)
+	}
+	if col.Agreement(Coloring(planted)) != 1 {
+		t.Fatal("kept coloring changed")
 	}
 }
 
@@ -203,16 +216,19 @@ func TestFastRecolorEscalates(t *testing.T) {
 		t.Fatal("setup wrong")
 	}
 	g.AddEdge(1, 3) // odd triangle 1-2-3
-	_, err := FastRecolor(g, prev, 2, ilp.Options{})
+	_, stats, err := fastRecolor(g, prev, 2)
 	if err == nil {
 		t.Fatal("expected infeasibility for k=2 with a triangle")
 	}
+	if stats.Escalations == 0 {
+		t.Fatal("infeasibility reported before the region grew")
+	}
 	// With k=3 the same change is absorbed.
-	res, err := FastRecolor(g, prev, 3, ilp.Options{})
+	col, _, err := fastRecolor(g, prev, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Coloring.Valid(g, 3) {
+	if !col.Valid(g, 3) {
 		t.Fatal("k=3 recoloring invalid")
 	}
 }
@@ -234,10 +250,11 @@ func TestPreserveRecolor(t *testing.T) {
 		t.Skip("no monochromatic non-edge")
 	}
 	g.AddEdge(u, v)
-	col, _, err := PreserveRecolor(g, prev, 3, ilp.Options{})
+	sol, _, err := domain.Preserve(Domain(), &Problem{G: g, K: 3}, prev, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	col := sol.(Coloring)
 	if !col.Valid(g, 3) {
 		t.Fatal("preserving coloring invalid")
 	}

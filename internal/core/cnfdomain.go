@@ -19,11 +19,11 @@ import (
 
 // CNFOptions tunes the CNF adapter beyond the generic engine knobs.
 type CNFOptions struct {
-	// Fast carries the fast-EC policy (Minimal, MaxEscalations); the Solve
-	// field is ignored — the engine supplies solver options per call.
+	// Fast carries the fast-EC policy. Only Minimal is read: the solver
+	// options and the escalation bound come from the engine's
+	// domain.FastOptions on each call.
 	Fast FastOptions
-	// Preserve carries the preservation flavor (Mode, Weight, Protected);
-	// the Solve field is ignored.
+	// Preserve carries the preservation flavor (Mode, Weight, Protected).
 	Preserve PreserveOptions
 	// Enable carries the enabling defaults merged under generic
 	// EnableOptions (notably MaxComplementOccurrences).
@@ -112,8 +112,9 @@ func (d *cnfDomain) ParseProblem(spec json.RawMessage) (any, error) {
 	return FormulaFromWire(req.DIMACS, req.Vars, req.Clauses)
 }
 
-// FormulaFromWire builds a formula from the HTTP wire fields (shared with
-// the legacy create-session shape of internal/service).
+// FormulaFromWire builds a formula from the fields of the CNF problem wire
+// form (a DIMACS string, or a clause list with an optional variable
+// count); ParseProblem decodes the JSON object and delegates here.
 func FormulaFromWire(dimacs string, vars int, clauses [][]int) (*cnf.Formula, error) {
 	if dimacs != "" {
 		if len(clauses) > 0 {
@@ -435,9 +436,9 @@ func (d *cnfDomain) EnableTerms(enc domain.Encoding, p any, opts domain.EnableOp
 	return nil
 }
 
-// cnfRegion is the fast-EC region: the Figure-2 closure with the
-// escalation ladder of FastResolve (minimal closure → full closure →
-// occurrence rings → full re-solve).
+// cnfRegion is the fast-EC region: the Figure-2 closure with its
+// escalation ladder (minimal closure → full closure → occurrence rings →
+// full re-solve).
 type cnfRegion struct {
 	fPrime           *cnf.Formula
 	p                cnf.Assignment

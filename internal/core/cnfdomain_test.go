@@ -24,37 +24,65 @@ func TestCNFDomainRegistered(t *testing.T) {
 	}
 }
 
-// TestCNFDomainFastMatchesFastResolve pins the adapter's fast-EC region
-// ladder to the behavior of the legacy FastResolve path: both must land on
-// valid solutions, and the minimal-closure policy must flow through.
-func TestCNFDomainFastMatchesFastResolve(t *testing.T) {
-	f := cnf.FromClauses(
+// TestCNFDomainFastRegionSizes pins the adapter's fast-EC region ladder:
+// the size of the final sub-instance under each closure policy, how many
+// escalations reached it, and that none of them fell back to the full
+// instance.
+func TestCNFDomainFastRegionSizes(t *testing.T) {
+	conf := cnf.FromClauses(
 		[]int{1, 2}, []int{-1, 3}, []int{2, 4}, []int{-3, -4, 5}, []int{5, 6},
 	)
-	a, _, err := PlainResolve(f, ilp.Options{})
+	confSol, _, err := PlainResolve(conf, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	changes := []Change{NewClause(-2, 3), NewClause(1, 4)}
-	fPrime, err := Apply(f, changes)
-	if err != nil {
-		t.Fatal(err)
+	// An instance whose minimal closure is infeasible against the frozen
+	// context: the first escalation (to the full Figure-2 closure) finds
+	// a 4-variable, 7-clause sub-instance and stops there.
+	esc := cnf.FromClauses(
+		[]int{-1, 3, -2}, []int{-4, -2, -1}, []int{5, -2, -3}, []int{2, -5, 3},
+		[]int{-4, -2, 5}, []int{-3, -5, -4}, []int{-4, 2, -3},
+	)
+	escSol := cnf.NewAssignment(5)
+	escSol.Set(2, cnf.False)
+	escSol.Set(3, cnf.False)
+	escSol.Set(5, cnf.False)
+	cases := []struct {
+		name    string
+		f       *cnf.Formula
+		p       cnf.Assignment
+		changes []Change
+		minimal bool
+		// vars, clauses and escalations of the final sub-instance.
+		vars, clauses, escalations int
+	}{
+		{"conformance/closure", conf, confSol, []Change{NewClause(-2, 3), NewClause(1, 4)}, false, 2, 1, 0},
+		{"conformance/minimal", conf, confSol, []Change{NewClause(-2, 3), NewClause(1, 4)}, true, 2, 1, 0},
+		{"paper/closure", fastF(), fastS(), []Change{NewClause(-5, 6), NewClause(1, -3, 4)}, false, 3, 3, 0},
+		{"paper/minimal", fastF(), fastS(), []Change{NewClause(-5, 6), NewClause(1, -3, 4)}, true, 2, 2, 0},
+		{"escalating/closure", esc, escSol, []Change{NewClause(-2, 4), NewClause(2, 5)}, false, 4, 7, 0},
+		{"escalating/minimal", esc, escSol, []Change{NewClause(-2, 4), NewClause(2, 5)}, true, 4, 7, 1},
 	}
-	for _, minimal := range []bool{false, true} {
-		d := CNFWith(CNFOptions{Fast: FastOptions{Minimal: minimal}})
-		got, stats, err := domain.Fast(d, fPrime, a, domain.FastOptions{})
-		if err != nil {
-			t.Fatalf("minimal=%v: %v", minimal, err)
-		}
-		if err := d.Verify(fPrime, got); err != nil {
-			t.Fatalf("minimal=%v: %v", minimal, err)
-		}
-		want, err := FastResolve(fPrime, a, FastOptions{Minimal: minimal})
-		if err != nil {
-			t.Fatalf("minimal=%v legacy: %v", minimal, err)
-		}
-		if !stats.AlreadyValid && !want.AlreadySatisfied && stats.SubSize != want.SubVars {
-			t.Fatalf("minimal=%v: region size %d, legacy sub vars %d", minimal, stats.SubSize, want.SubVars)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fPrime, err := Apply(tc.f, tc.changes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := fastEC(fPrime, tc.p, tc.minimal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Satisfies(fPrime) {
+				t.Fatalf("merged solution %v does not satisfy the changed formula", got)
+			}
+			if stats.AlreadyValid || stats.FullResolve {
+				t.Fatalf("stats %+v: want a partial re-solve", stats)
+			}
+			if stats.SubSize != tc.vars || subClauses(stats) != tc.clauses || stats.Escalations != tc.escalations {
+				t.Fatalf("sub-instance %d vars / %d clauses after %d escalations, want %d / %d after %d",
+					stats.SubSize, subClauses(stats), stats.Escalations, tc.vars, tc.clauses, tc.escalations)
+			}
+		})
 	}
 }

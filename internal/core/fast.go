@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"ilpec/internal/cnf"
@@ -62,9 +61,9 @@ func Simplify(fPrime *cnf.Formula, p cnf.Assignment) SimplifyResult {
 // V"), but it is the only reading consistent with the paper's own Table 2
 // — e.g. jnh201's reported 21-variable/98.9-clause sub-instances cannot
 // arise from the growing-V closure, since 99 width-5 clauses span far more
-// than 21 variables. Correctness is preserved through FastResolve's
-// escalation chain (minimal → full closure → neighborhood rings → full
-// re-solve).
+// than 21 variables. Correctness is preserved through the CNF adapter's
+// escalation ladder (minimal → full closure → neighborhood rings → full
+// re-solve; see cnfRegion).
 func SimplifyMinimal(fPrime *cnf.Formula, p cnf.Assignment) SimplifyResult {
 	p = p.Grow(fPrime.NumVars)
 	unsat := p.UnsatisfiedClauses(fPrime)
@@ -238,10 +237,12 @@ func SubFormula(fPrime *cnf.Formula, p cnf.Assignment, simp SimplifyResult) (sub
 	return sub, varOf
 }
 
-// FastOptions configures FastResolve.
+// FastOptions configures fast EC (§6). The CNF adapter reads Minimal;
+// Solve and MaxEscalations are the engine knobs that core.Flow and the
+// session service forward into domain.FastOptions.
 type FastOptions struct {
 	// Solve configures the exact sub-instance solver. The warm start field
-	// is overwritten internally (the original solution restricted to V
+	// is overwritten by the engine (the original solution restricted to V
 	// guides branching toward minimal change).
 	Solve ilp.Options
 	// MaxEscalations bounds the V-growing retries when the sub-instance is
@@ -254,96 +255,6 @@ type FastOptions struct {
 	Minimal bool
 }
 
-// FastResult is the outcome of FastResolve.
-type FastResult struct {
-	// AlreadySatisfied is true when no re-solve was needed.
-	AlreadySatisfied bool
-	// Assignment is the merged solution satisfying the changed formula.
-	Assignment cnf.Assignment
-	// SubVars and SubClauses are the fast-EC instance sizes (Table 2's
-	// "Ave. # Vars/Clauses" columns measure these).
-	SubVars, SubClauses int
-	// Escalations counts the V-growing retries used.
-	Escalations int
-	// FullResolve is true when escalation exhausted and the whole instance
-	// was re-solved.
-	FullResolve bool
-	// ILP carries the statistics of the final (successful) solve.
-	ILP ilp.Result
-}
-
-// FastResolve implements fast EC (§6): it extracts the minimal affected
-// sub-instance via Simplify, solves only that, and merges the partial
-// solution into p. When the frozen context makes the sub-instance
-// unsatisfiable, the variable set is escalated (one occurrence ring at a
-// time) and, as a last resort, the whole instance is re-solved.
-func FastResolve(fPrime *cnf.Formula, p cnf.Assignment, opts FastOptions) (*FastResult, error) {
-	if fPrime.HasEmptyClause() {
-		return nil, fmt.Errorf("core: changed formula contains an empty clause (unsatisfiable)")
-	}
-	p = p.Grow(fPrime.NumVars)
-	var simp SimplifyResult
-	if opts.Minimal {
-		simp = SimplifyMinimal(fPrime, p)
-	} else {
-		simp = Simplify(fPrime, p)
-	}
-	if simp.AlreadySatisfied {
-		return &FastResult{AlreadySatisfied: true, Assignment: p.Clone()}, nil
-	}
-	maxEsc := opts.MaxEscalations
-	if maxEsc <= 0 {
-		maxEsc = 3
-	}
-	triedFullClosure := !opts.Minimal
-
-	for esc := 0; ; esc++ {
-		sub, varOf := SubFormula(fPrime, p, simp)
-		e := encode.New(sub)
-		solveOpts := opts.Solve
-		solveOpts.WarmStart = warmFromOriginal(e, p, varOf)
-		res := ilp.Solve(e.Model, solveOpts)
-		switch res.Status {
-		case ilp.Optimal, ilp.Feasible:
-			merged := p.Clone()
-			for v, val := range simp.Reserved {
-				merged.Set(v, val) // §6 recovered don't-cares
-			}
-			subAsg := e.Decode(res.Solution)
-			for cv := 1; cv < len(varOf); cv++ {
-				merged.Set(varOf[cv], subAsg.Get(cv))
-			}
-			if !merged.Satisfies(fPrime) {
-				return nil, fmt.Errorf("core: merged fast-EC solution does not satisfy the changed formula (internal error)")
-			}
-			return &FastResult{
-				Assignment:  merged,
-				SubVars:     sub.NumVars,
-				SubClauses:  sub.NumClauses(),
-				Escalations: esc,
-				FullResolve: len(simp.Vars) == countActiveVars(fPrime),
-				ILP:         res,
-			}, nil
-		case ilp.Infeasible:
-			if !triedFullClosure {
-				triedFullClosure = true
-				simp = Simplify(fPrime, p)
-				continue
-			}
-			if esc >= maxEsc {
-				return fullResolve(fPrime, p, opts, esc)
-			}
-			grown := escalate(fPrime, p, simp)
-			if len(grown.Vars) == len(simp.Vars) {
-				return fullResolve(fPrime, p, opts, esc)
-			}
-			simp = grown
-		default:
-			return nil, fmt.Errorf("core: fast-EC sub-solve hit limits (%s)", res.Status)
-		}
-	}
-}
-
 // warmFromOriginal projects p onto the compact sub-encoding as a branching
 // guide (it is typically infeasible for the sub-instance, which is fine —
 // the solver only uses it for branch ordering).
@@ -353,10 +264,6 @@ func warmFromOriginal(e *encode.Encoding, p cnf.Assignment, varOf []int) ilp.Sol
 		a.Set(cv, p.Get(varOf[cv]))
 	}
 	return e.EncodeAssignment(a)
-}
-
-func countActiveVars(f *cnf.Formula) int {
-	return len(f.Vars())
 }
 
 // escalate grows V by one occurrence ring — every clause touching V joins
@@ -390,28 +297,4 @@ func escalate(fPrime *cnf.Formula, p cnf.Assignment, simp SimplifyResult) Simpli
 		}
 	}
 	return finishClosure(fPrime, p.Grow(fPrime.NumVars), inV, marked)
-}
-
-// fullResolve re-solves the entire changed instance (the fast-EC fallback).
-func fullResolve(fPrime *cnf.Formula, p cnf.Assignment, opts FastOptions, esc int) (*FastResult, error) {
-	e := encode.New(fPrime)
-	solveOpts := opts.Solve
-	solveOpts.WarmStart = e.EncodeAssignment(p)
-	res := ilp.Solve(e.Model, solveOpts)
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		merged := e.Decode(res.Solution)
-		return &FastResult{
-			Assignment:  merged,
-			SubVars:     fPrime.NumVars,
-			SubClauses:  fPrime.NumClauses(),
-			Escalations: esc,
-			FullResolve: true,
-			ILP:         res,
-		}, nil
-	case ilp.Infeasible:
-		return nil, fmt.Errorf("core: changed formula is unsatisfiable")
-	default:
-		return nil, fmt.Errorf("core: full re-solve hit limits (%s)", res.Status)
-	}
 }

@@ -6,10 +6,27 @@ import (
 	"testing/quick"
 
 	"ilpec/internal/cnf"
+	"ilpec/internal/domain"
 	"ilpec/internal/encode"
 	"ilpec/internal/ilp"
 	"ilpec/internal/sat"
 )
+
+// fastEC runs the §6 engine over the CNF adapter, starting from the
+// minimal closure when minimal is set and from the Figure-2 closure
+// otherwise.
+func fastEC(fPrime *cnf.Formula, p cnf.Assignment, minimal bool) (cnf.Assignment, domain.FastStats, error) {
+	d := CNFWith(CNFOptions{Fast: FastOptions{Minimal: minimal}})
+	sol, stats, err := domain.Fast(d, fPrime, p, domain.FastOptions{})
+	if err != nil {
+		return nil, stats, err
+	}
+	return sol.(cnf.Assignment), stats, nil
+}
+
+// subClauses is the clause count of the final sub-instance: the
+// set-cover encoding adds one consistency row per variable.
+func subClauses(stats domain.FastStats) int { return stats.SubRows - stats.SubSize }
 
 // solveFor returns some satisfying assignment via the set-cover ILP.
 func solveFor(t *testing.T, f *cnf.Formula) cnf.Assignment {
@@ -100,19 +117,25 @@ func TestSubFormulaDropsOutsideLiterals(t *testing.T) {
 func TestFastResolveNoChangeNeeded(t *testing.T) {
 	f := cnf.FromClauses([]int{1, 2})
 	a := cnf.AssignmentFromBools(true, false)
-	res, err := FastResolve(f, a, FastOptions{})
+	got, stats, err := fastEC(f, a, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AlreadySatisfied {
-		t.Fatal("no re-solve should be needed")
+	if !stats.AlreadyValid || stats.SubRows != 0 {
+		t.Fatalf("no re-solve should be needed: %+v", stats)
+	}
+	if got.Get(1) != cnf.True || got.Get(2) != cnf.False {
+		t.Fatalf("surviving solution changed: %v", got)
 	}
 }
 
 func TestFastResolveEmptyClause(t *testing.T) {
 	f := cnf.New(2)
 	f.AddClause(cnf.Clause{})
-	if _, err := FastResolve(f, cnf.NewAssignment(2), FastOptions{}); err == nil {
+	if err := CNF().Validate(f); err == nil {
+		t.Fatal("Validate accepted an empty clause")
+	}
+	if _, _, err := fastEC(f, cnf.NewAssignment(2), false); err == nil {
 		t.Fatal("expected error on empty clause")
 	}
 }
@@ -120,8 +143,12 @@ func TestFastResolveEmptyClause(t *testing.T) {
 func TestFastResolveUnsatisfiableChange(t *testing.T) {
 	f := cnf.FromClauses([]int{1}, []int{-1})
 	a := cnf.AssignmentFromBools(true)
-	if _, err := FastResolve(f, a, FastOptions{}); err == nil {
+	_, stats, err := fastEC(f, a, false)
+	if err == nil {
 		t.Fatal("expected unsatisfiable error")
+	}
+	if stats.Escalations == 0 {
+		t.Fatal("infeasibility reported before the full-instance fallback")
 	}
 }
 
@@ -139,26 +166,26 @@ func TestFastResolveEscalation(t *testing.T) {
 	// pair: (v1') new, and (v1+v2), (v1+v2') both supported by… v2 true
 	// satisfies (v1+v2) outside V; (v1+v2') has only v1 → marked, pulls
 	// v2 anyway. Closure handles it in-round; escalation is rare by
-	// design. Simply verify FastResolve succeeds and merges correctly.
+	// design. Simply verify fast EC succeeds and merges correctly.
 	f := cnf.FromClauses([]int{1, 2}, []int{-2, 3}, []int{3, 4})
 	a := cnf.AssignmentFromBools(true, true, true, true)
 	fPrime, err := Apply(f, []Change{NewClause(-1, -3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FastResolve(fPrime, a, FastOptions{})
+	got, _, err := fastEC(fPrime, a, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Assignment.Satisfies(fPrime) {
+	if !got.Satisfies(fPrime) {
 		t.Fatal("merged solution unsatisfying")
 	}
-	if res.Assignment.Get(1) != cnf.False && res.Assignment.Get(3) != cnf.False {
+	if got.Get(1) != cnf.False && got.Get(3) != cnf.False {
 		t.Fatal("one of v1/v3 must flip to false")
 	}
 }
 
-// Property: FastResolve's merged assignment always satisfies the changed
+// Property: fast EC's merged assignment always satisfies the changed
 // formula, and variables outside the sub-instance keep their values —
 // checked over random mutations of random satisfiable instances.
 func TestFastResolveMergeProperty(t *testing.T) {
@@ -213,17 +240,17 @@ func TestFastResolveMergeProperty(t *testing.T) {
 				fPrime = g
 			}
 		}
-		res, err := FastResolve(fPrime, p, FastOptions{})
+		got, stats, err := fastEC(fPrime, p, false)
 		if err != nil {
 			return false
 		}
-		if !res.Assignment.Satisfies(fPrime) {
+		if !got.Satisfies(fPrime) {
 			return false
 		}
-		if res.AlreadySatisfied {
+		if stats.AlreadyValid {
 			return true
 		}
-		if res.FullResolve {
+		if stats.FullResolve {
 			return true // whole instance re-solved; nothing frozen
 		}
 		inSub := make(map[int]bool)
@@ -232,12 +259,12 @@ func TestFastResolveMergeProperty(t *testing.T) {
 			inSub[v] = true
 		}
 		for v := 1; v <= fPrime.NumVars; v++ {
-			if inSub[v] || res.Escalations != 0 {
+			if inSub[v] || stats.Escalations != 0 {
 				continue
 			}
 			// Committed out-of-V variables keep their values; don't-cares
 			// may have been reserved (committed) by the §6 DC recovery.
-			if p.Get(v) != cnf.Unassigned && res.Assignment.Get(v) != p.Get(v) {
+			if p.Get(v) != cnf.Unassigned && got.Get(v) != p.Get(v) {
 				return false
 			}
 		}
@@ -302,17 +329,17 @@ func TestFastInstanceMuchSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FastResolve(fPrime, p, FastOptions{})
+	got, stats, err := fastEC(fPrime, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AlreadySatisfied {
+	if stats.AlreadyValid {
 		t.Fatal("change should invalidate p")
 	}
-	if res.SubVars >= nVars/2 {
-		t.Fatalf("sub-instance %d vars of %d — not localized", res.SubVars, nVars)
+	if stats.SubSize >= nVars/2 {
+		t.Fatalf("sub-instance %d vars of %d — not localized", stats.SubSize, nVars)
 	}
-	if !res.Assignment.Satisfies(fPrime) {
+	if !got.Satisfies(fPrime) {
 		t.Fatal("merged solution unsatisfying")
 	}
 }
@@ -326,12 +353,12 @@ func TestFastWarmStartGuidesMinimalChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FastResolve(fPrime, p, FastOptions{})
+	got, _, err := fastEC(fPrime, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Assignment.PreservedFraction(p) < 0.5 {
-		t.Fatalf("fast EC preserved only %.2f", res.Assignment.PreservedFraction(p))
+	if got.PreservedFraction(p) < 0.5 {
+		t.Fatalf("fast EC preserved only %.2f", got.PreservedFraction(p))
 	}
 }
 

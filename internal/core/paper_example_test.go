@@ -154,23 +154,23 @@ func TestFastExampleResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FastResolve(fPrime, s, FastOptions{})
+	got, stats, err := fastEC(fPrime, s, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AlreadySatisfied {
+	if stats.AlreadyValid {
 		t.Fatal("re-solve was required")
 	}
-	if !res.Assignment.Satisfies(fPrime) {
+	if !got.Satisfies(fPrime) {
 		t.Fatal("merged solution does not satisfy F'")
 	}
-	if res.SubVars != 3 || res.SubClauses != 3 {
+	if stats.SubSize != 3 || subClauses(stats) != 3 {
 		t.Fatalf("sub-instance %d vars/%d clauses, want 3/3 ('from ten clauses to three')",
-			res.SubVars, res.SubClauses)
+			stats.SubSize, subClauses(stats))
 	}
 	// Variables outside V keep their original values.
 	for _, v := range []int{1, 3, 4} {
-		if res.Assignment.Get(v) != s.Get(v) {
+		if got.Get(v) != s.Get(v) {
 			t.Fatalf("out-of-V variable v%d changed", v)
 		}
 	}
@@ -198,16 +198,16 @@ func TestPreserveExample(t *testing.T) {
 	if s.Satisfies(fPrime) {
 		t.Fatal("added clauses must invalidate S")
 	}
-	res, err := PreserveResolve(fPrime, s, PreserveOptions{Mode: PreserveMaximize})
+	got, err := preserveEC(fPrime, s, PreserveOptions{Mode: PreserveMaximize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Assignment.Satisfies(fPrime) {
+	if !got.Satisfies(fPrime) {
 		t.Fatal("preserving solution does not satisfy F'")
 	}
 	// The paper's S2 = {1,0,0,0,1} preserves 4 of 5; preserving EC must do
 	// at least that well.
-	if res.Preserved < 0.8-1e-9 {
-		t.Fatalf("preserved %.2f, want ≥ 0.80 (paper's S2 level)", res.Preserved)
+	if kept := got.PreservedFraction(s); kept < 0.8-1e-9 {
+		t.Fatalf("preserved %.2f, want ≥ 0.80 (paper's S2 level)", kept)
 	}
 }

@@ -47,32 +47,10 @@ type PreserveOptions struct {
 	// Weight is the reward per preserved variable in PreserveWeighted mode
 	// (default 2, so preservation dominates the unit commitment cost).
 	Weight float64
-	// Solve configures the exact solver.
-	Solve ilp.Options
-}
-
-// PreserveResult is the outcome of PreserveResolve.
-type PreserveResult struct {
-	// Assignment satisfies the changed formula.
-	Assignment cnf.Assignment
-	// Preserved is the fraction of the original committed assignments kept.
-	Preserved float64
-	// ILP carries solver statistics.
-	ILP ilp.Result
-}
-
-// BuildPreserve constructs the §7 preserving-EC ILP for the changed
-// formula fPrime against original solution p.
-func BuildPreserve(fPrime *cnf.Formula, p cnf.Assignment, opts PreserveOptions) (*encode.Encoding, error) {
-	e := encode.New(fPrime)
-	if err := applyPreserveTerms(e, fPrime, p, opts); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // applyPreserveTerms rewrites an existing set-cover encoding into the §7
-// preservation form (shared by BuildPreserve and the CNF domain adapter).
+// preservation form (the CNF adapter's PreserveTerms).
 func applyPreserveTerms(e *encode.Encoding, fPrime *cnf.Formula, p cnf.Assignment, opts PreserveOptions) error {
 	m := e.Model
 	p = p.Grow(fPrime.NumVars)
@@ -125,42 +103,6 @@ func applyPreserveTerms(e *encode.Encoding, fPrime *cnf.Formula, p cnf.Assignmen
 		return fmt.Errorf("core: unknown preserve mode %d", opts.Mode)
 	}
 	return nil
-}
-
-// PreserveResolve re-solves the changed instance under the preservation
-// regime of opts and reports the preserved fraction relative to p.
-func PreserveResolve(fPrime *cnf.Formula, p cnf.Assignment, opts PreserveOptions) (*PreserveResult, error) {
-	if fPrime.HasEmptyClause() {
-		return nil, fmt.Errorf("core: changed formula contains an empty clause (unsatisfiable)")
-	}
-	e, err := BuildPreserve(fPrime, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	solveOpts := opts.Solve
-	if solveOpts.WarmStart == nil {
-		solveOpts.WarmStart = e.EncodeAssignment(p.Grow(fPrime.NumVars))
-	}
-	res := ilp.Solve(e.Model, solveOpts)
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		a := e.Decode(res.Solution)
-		if !a.Satisfies(fPrime) {
-			return nil, fmt.Errorf("core: preserving solution does not satisfy the changed formula (internal error)")
-		}
-		return &PreserveResult{
-			Assignment: a,
-			Preserved:  a.PreservedFraction(p),
-			ILP:        res,
-		}, nil
-	case ilp.Infeasible:
-		if opts.Mode == PreserveHard {
-			return nil, fmt.Errorf("core: hard preservation of %d variables is infeasible", len(opts.Protected))
-		}
-		return nil, fmt.Errorf("core: changed formula is unsatisfiable")
-	default:
-		return nil, fmt.Errorf("core: preserving solve hit limits (%s)", res.Status)
-	}
 }
 
 // PlainResolve re-solves the changed instance with the base set-cover

@@ -2,12 +2,24 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ilpec/internal/cnf"
+	"ilpec/internal/domain"
 	"ilpec/internal/ilp"
 	"ilpec/internal/sat"
 )
+
+// preserveEC runs the §7 engine over the CNF adapter in the given
+// preservation flavor.
+func preserveEC(fPrime *cnf.Formula, p cnf.Assignment, opts PreserveOptions) (cnf.Assignment, error) {
+	sol, _, err := domain.Preserve(CNFWith(CNFOptions{Preserve: opts}), fPrime, p, ilp.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return sol.(cnf.Assignment), nil
+}
 
 func TestPreserveModeString(t *testing.T) {
 	if PreserveMaximize.String() != "maximize" || PreserveHard.String() != "hard" ||
@@ -50,7 +62,7 @@ func TestPreserveMaximizeIsOptimal(t *testing.T) {
 				p.Set(v, cnf.False)
 			}
 		}
-		res, err := PreserveResolve(f, p, PreserveOptions{Mode: PreserveMaximize})
+		got, err := preserveEC(f, p, PreserveOptions{Mode: PreserveMaximize})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -66,14 +78,14 @@ func TestPreserveMaximizeIsOptimal(t *testing.T) {
 			}
 			return true
 		})
-		got := 0
+		kept := 0
 		for v := 1; v <= nVars; v++ {
-			if p.Get(v) != cnf.Unassigned && res.Assignment.Get(v) == p.Get(v) {
-				got++
+			if p.Get(v) != cnf.Unassigned && got.Get(v) == p.Get(v) {
+				kept++
 			}
 		}
-		if got < best {
-			t.Fatalf("trial %d: preserved %d, oracle max %d", trial, got, best)
+		if kept < best {
+			t.Fatalf("trial %d: preserved %d, oracle max %d", trial, kept, best)
 		}
 	}
 }
@@ -83,16 +95,16 @@ func TestPreserveHardConstraints(t *testing.T) {
 	p := cnf.AssignmentFromBools(true, true, false, false, true)
 	fPrime, _ := Apply(f, []Change{NewClause(-2, 3, 4), NewClause(1, -2, -5)})
 	// Protect v1 and v5 (S2 keeps both).
-	res, err := PreserveResolve(fPrime, p, PreserveOptions{
+	got, err := preserveEC(fPrime, p, PreserveOptions{
 		Mode: PreserveHard, Protected: []int{1, 5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Assignment.Get(1) != cnf.True || res.Assignment.Get(5) != cnf.True {
-		t.Fatalf("protected variables changed: %v", res.Assignment)
+	if got.Get(1) != cnf.True || got.Get(5) != cnf.True {
+		t.Fatalf("protected variables changed: %v", got)
 	}
-	if !res.Assignment.Satisfies(fPrime) {
+	if !got.Satisfies(fPrime) {
 		t.Fatal("hard-preserve solution unsatisfying")
 	}
 }
@@ -101,7 +113,7 @@ func TestPreserveHardInfeasible(t *testing.T) {
 	f := cnf.FromClauses([]int{1, 2})
 	p := cnf.AssignmentFromBools(false, false)
 	// Protecting both variables at false contradicts the clause.
-	_, err := PreserveResolve(f, p, PreserveOptions{
+	_, err := preserveEC(f, p, PreserveOptions{
 		Mode: PreserveHard, Protected: []int{1, 2},
 	})
 	if err == nil {
@@ -113,13 +125,13 @@ func TestPreserveHardProtectsDontCare(t *testing.T) {
 	f := cnf.FromClauses([]int{1, 2})
 	p := cnf.NewAssignment(2)
 	p.Set(1, cnf.True) // v2 is DC
-	res, err := PreserveResolve(f, p, PreserveOptions{
+	got, err := preserveEC(f, p, PreserveOptions{
 		Mode: PreserveHard, Protected: []int{2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Assignment.Get(2) != cnf.Unassigned {
+	if got.Get(2) != cnf.Unassigned {
 		t.Fatal("protected don't-care was committed")
 	}
 }
@@ -127,8 +139,9 @@ func TestPreserveHardProtectsDontCare(t *testing.T) {
 func TestPreserveHardBadVariable(t *testing.T) {
 	f := cnf.FromClauses([]int{1})
 	p := cnf.AssignmentFromBools(true)
-	if _, err := PreserveResolve(f, p, PreserveOptions{Mode: PreserveHard, Protected: []int{7}}); err == nil {
-		t.Fatal("expected range error")
+	_, err := preserveEC(f, p, PreserveOptions{Mode: PreserveHard, Protected: []int{7}})
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("expected range error, got %v", err)
 	}
 }
 
@@ -181,7 +194,7 @@ func TestPreserveWeightedBeatsPlainBaseline(t *testing.T) {
 				}
 			}
 		}
-		pres, err := PreserveResolve(fPrime, pTotal, PreserveOptions{Mode: PreserveMaximize})
+		pres, err := preserveEC(fPrime, pTotal, PreserveOptions{Mode: PreserveMaximize})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -189,9 +202,9 @@ func TestPreserveWeightedBeatsPlainBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if pres.Preserved < plain.PreservedFraction(pTotal)-1e-9 {
+		if pres.PreservedFraction(pTotal) < plain.PreservedFraction(pTotal)-1e-9 {
 			t.Fatalf("trial %d: preserving EC (%.2f) worse than plain (%.2f)",
-				trial, pres.Preserved, plain.PreservedFraction(pTotal))
+				trial, pres.PreservedFraction(pTotal), plain.PreservedFraction(pTotal))
 		}
 	}
 }
@@ -200,21 +213,21 @@ func TestPreserveWeightedMode(t *testing.T) {
 	f := preserveF()
 	p := cnf.AssignmentFromBools(true, true, false, false, true)
 	fPrime, _ := Apply(f, []Change{NewClause(-2, 3, 4), NewClause(1, -2, -5)})
-	res, err := PreserveResolve(fPrime, p, PreserveOptions{Mode: PreserveWeighted, Weight: 5})
+	got, err := preserveEC(fPrime, p, PreserveOptions{Mode: PreserveWeighted, Weight: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Assignment.Satisfies(fPrime) {
+	if !got.Satisfies(fPrime) {
 		t.Fatal("weighted solution unsatisfying")
 	}
-	if res.Preserved < 0.8-1e-9 {
-		t.Fatalf("weighted preserved %.2f < 0.80", res.Preserved)
+	if kept := got.PreservedFraction(p); kept < 0.8-1e-9 {
+		t.Fatalf("weighted preserved %.2f < 0.80", kept)
 	}
 }
 
 func TestPreserveUnknownMode(t *testing.T) {
 	f := cnf.FromClauses([]int{1})
-	if _, err := BuildPreserve(f, cnf.AssignmentFromBools(true), PreserveOptions{Mode: PreserveMode(9)}); err == nil {
+	if _, err := preserveEC(f, cnf.AssignmentFromBools(true), PreserveOptions{Mode: PreserveMode(9)}); err == nil {
 		t.Fatal("expected error for unknown mode")
 	}
 }
@@ -222,7 +235,10 @@ func TestPreserveUnknownMode(t *testing.T) {
 func TestPreserveEmptyClause(t *testing.T) {
 	f := cnf.New(1)
 	f.AddClause(cnf.Clause{})
-	if _, err := PreserveResolve(f, cnf.NewAssignment(1), PreserveOptions{}); err == nil {
+	if err := CNF().Validate(f); err == nil {
+		t.Fatal("Validate accepted an empty clause")
+	}
+	if _, err := preserveEC(f, cnf.NewAssignment(1), PreserveOptions{}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -41,7 +41,7 @@ func randomPlanted(r *rand.Rand, nVars, nClauses int) (*cnf.Formula, cnf.Assignm
 }
 
 // Property: the minimal-V policy is as sound as the full closure — the
-// merged FastResolve solution always satisfies the changed formula.
+// merged fast-EC solution always satisfies the changed formula.
 func TestFastMinimalSoundnessProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	prop := func(seed int64) bool {
@@ -68,12 +68,12 @@ func TestFastMinimalSoundnessProperty(t *testing.T) {
 				fPrime = g
 			}
 		}
-		res, err := FastResolve(fPrime, p, FastOptions{Minimal: true})
+		got, _, err := fastEC(fPrime, p, true)
 		if err != nil {
 			return false
 		}
 		_ = plant
-		return res.Assignment.Satisfies(fPrime)
+		return got.Satisfies(fPrime)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120, Rand: rng}); err != nil {
 		t.Fatal(err)
@@ -177,24 +177,6 @@ func TestReservationInvariantProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: PreserveResolve's reported fraction matches an independent
-// recomputation.
-func TestPreserveAccountingProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(137))
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		f, plant := randomPlanted(r, 4+r.Intn(5), 4+r.Intn(8))
-		res, err := PreserveResolve(f, plant, PreserveOptions{Mode: PreserveMaximize})
-		if err != nil {
-			return true // mutated formula may be unsatisfiable; fine
-		}
-		return res.Preserved == res.Assignment.PreservedFraction(plant)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
 }

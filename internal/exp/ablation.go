@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ilpec/internal/core"
+	"ilpec/internal/domain"
 	"ilpec/internal/encode"
 	"ilpec/internal/gen"
 	"ilpec/internal/ilp"
@@ -84,10 +85,11 @@ func RunAblations(p Profile) []AblationRow {
 		} else {
 			fPrime, _ := core.Apply(f, plan.Changes)
 			t0 = time.Now()
-			fres, ferr := core.FastResolve(fPrime, pAsg, core.FastOptions{Solve: opts, Minimal: true})
+			d := core.CNFWith(core.CNFOptions{Fast: core.FastOptions{Minimal: true}})
+			_, fstats, ferr := domain.Fast(d, fPrime, pAsg, domain.FastOptions{Solve: opts})
 			row3.TimeA = time.Since(t0)
 			if ferr == nil {
-				row3.NodesA = fres.ILP.Nodes
+				row3.NodesA = fstats.ILP.Nodes
 			}
 			t0 = time.Now()
 			_, full, perr := core.PlainResolve(fPrime, opts)

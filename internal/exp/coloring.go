@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ilpec/internal/coloring"
+	"ilpec/internal/domain"
 	"ilpec/internal/ilp"
 )
 
@@ -102,21 +103,22 @@ func runColoringRow(spec coloringSpec, p Profile) ColoringRow {
 			row.Failed++
 			continue
 		}
-		fres, err := coloring.FastRecolor(changed, base, kk, opts)
+		problem := &coloring.Problem{G: changed, K: kk}
+		fcol, fstats, err := domain.Fast(coloring.Domain(), problem, base, domain.FastOptions{Solve: opts})
 		if err != nil {
 			row.Failed++
 			continue
 		}
-		pcol, _, err := coloring.PreserveRecolor(changed, base, kk, opts)
+		pcol, _, err := domain.Preserve(coloring.Domain(), problem, base, opts)
 		if err != nil {
 			row.Failed++
 			continue
 		}
 		ok++
 		repl += replan.Agreement(base) * 100
-		fast += fres.Coloring.Agreement(base) * 100
-		pres += pcol.Agreement(base) * 100
-		region += float64(fres.SubVertices)
+		fast += fcol.(coloring.Coloring).Agreement(base) * 100
+		pres += pcol.(coloring.Coloring).Agreement(base) * 100
+		region += float64(fstats.SubSize)
 	}
 	if ok == 0 {
 		row.Err = "no effective trials"
@@ -185,7 +187,8 @@ func ColoringTimings(spec0 string, p Profile) (replan, fast time.Duration, err e
 		}
 		replan = time.Since(t0)
 		t0 = time.Now()
-		if _, err := coloring.FastRecolor(changed, base, kk, opts); err != nil {
+		problem := &coloring.Problem{G: changed, K: kk}
+		if _, _, err := domain.Fast(coloring.Domain(), problem, base, domain.FastOptions{Solve: opts}); err != nil {
 			return 0, 0, err
 		}
 		fast = time.Since(t0)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ilpec/internal/core"
+	"ilpec/internal/domain"
 	"ilpec/internal/encode"
 	"ilpec/internal/gen"
 	"ilpec/internal/heurilp"
@@ -103,6 +104,10 @@ func runTable2Row(spec gen.Spec, heur bool, p Profile) Table2Row {
 	row.Orig = time.Since(start)
 	pAsg := e.Decode(orig)
 
+	// Minimal-V policy: the reading of Figure 2 consistent with the
+	// paper's own Table-2 sub-instance sizes (see core.SimplifyMinimal).
+	d := core.CNFWith(core.CNFOptions{Fast: core.FastOptions{Minimal: true}})
+	fopts := domain.FastOptions{Solve: ilp.Options{TimeLimit: p.ExactTimeLimit}}
 	mut := gen.NewMutator(spec.Seed * 7)
 	elim, add := mutationSizes(f.NumVars, f.NumClauses())
 	var vsum, csum float64
@@ -120,20 +125,17 @@ func runTable2Row(spec gen.Spec, heur bool, p Profile) Table2Row {
 			continue
 		}
 		t0 := time.Now()
-		// Minimal-V policy: the reading of Figure 2 consistent with the
-		// paper's own Table-2 sub-instance sizes (see core.SimplifyMinimal).
-		res, err := core.FastResolve(fPrime, pAsg, core.FastOptions{
-			Solve:   ilp.Options{TimeLimit: p.ExactTimeLimit},
-			Minimal: true,
-		})
+		_, stats, err := domain.Fast(d, fPrime, pAsg, fopts)
 		dt := time.Since(t0)
 		if err != nil {
 			row.Failed++
 			continue
 		}
 		okTrials++
-		vsum += float64(res.SubVars)
-		csum += float64(res.SubClauses)
+		// The set-cover encoding adds one consistency row per variable to
+		// the sub-instance's clause rows.
+		vsum += float64(stats.SubSize)
+		csum += float64(stats.SubRows - stats.SubSize)
 		tsum += dt
 	}
 	if okTrials == 0 {

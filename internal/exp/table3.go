@@ -5,6 +5,7 @@ import (
 
 	"ilpec/internal/cnf"
 	"ilpec/internal/core"
+	"ilpec/internal/domain"
 	"ilpec/internal/encode"
 	"ilpec/internal/gen"
 	"ilpec/internal/heurilp"
@@ -104,17 +105,15 @@ func runTable3Row(spec gen.Spec, heur bool, p Profile) Table3Row {
 			row.Failed++
 			continue
 		}
-		pres, err := core.PreserveResolve(fPrime, pAsg, core.PreserveOptions{
-			Mode:  core.PreserveMaximize,
-			Solve: ilp.Options{TimeLimit: p.ExactTimeLimit},
-		})
+		// Preserving EC under the default PreserveMaximize objective.
+		pres, _, err := domain.Preserve(core.CNF(), fPrime, pAsg, ilp.Options{TimeLimit: p.ExactTimeLimit})
 		if err != nil {
 			row.Failed++
 			continue
 		}
 		okTrials++
 		sumOrig += plain.PreservedFraction(pAsg) * 100
-		sumEC += pres.Preserved * 100
+		sumEC += pres.(cnf.Assignment).PreservedFraction(pAsg) * 100
 	}
 	if okTrials == 0 {
 		row.Err = "all trials failed"

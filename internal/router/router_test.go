@@ -116,7 +116,7 @@ func TestCreateMintsAndRoutesID(t *testing.T) {
 	rt, front := newTestRouter(t, n1, n2)
 
 	resp, err := http.Post(front.URL+"/v1/sessions", "application/json",
-		strings.NewReader(`{"domain":"cnf","dimacs":"p cnf 1 1\n1 0\n"}`))
+		strings.NewReader(`{"domain":"cnf","problem":{"dimacs":"p cnf 1 1\n1 0\n"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,107 +6,9 @@ import (
 	"ilpec/internal/ilp"
 )
 
-// FastReschedule is the fast-EC adaptation: given a changed problem and
-// the previous schedule, it re-places only the disturbed cone — operations
-// that are invalid where they stand (dependency or capacity violations, or
-// newly added ops) plus, on escalation, their dependency neighborhoods —
-// keeping every other operation frozen at its step.
-func FastReschedule(p *Problem, prev Schedule, opts ilp.Options) (Schedule, int, error) {
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
-	}
-	prev = prev.Clone()
-	for len(prev) < p.NumOps {
-		prev = append(prev, -1) // newly added operations join the region
-	}
-	region := map[int]bool{}
-	for o := 0; o < p.NumOps; o++ {
-		if prev[o] < 0 || prev[o] >= p.Steps {
-			region[o] = true
-		}
-	}
-	for _, d := range p.Deps {
-		if !region[d[0]] && !region[d[1]] && prev[d[0]] >= prev[d[1]] {
-			region[d[0]] = true
-			region[d[1]] = true
-		}
-	}
-	// Capacity violations join too.
-	use := make(map[[2]int][]int)
-	for o := 0; o < p.NumOps; o++ {
-		if !region[o] {
-			key := [2]int{p.Type[o], prev[o]}
-			use[key] = append(use[key], o)
-		}
-	}
-	for key, ops := range use {
-		if len(ops) > p.Capacity[key[0]] {
-			for _, o := range ops {
-				region[o] = true
-			}
-		}
-	}
-	if len(region) == 0 {
-		return prev[:p.NumOps], 0, nil
-	}
-	for {
-		s, err := solveRegion(p, prev, region, opts)
-		if err == nil {
-			return s, len(region), nil
-		}
-		// Escalate through the dependency neighborhood.
-		grew := false
-		for _, d := range p.Deps {
-			if region[d[0]] != region[d[1]] {
-				if !region[d[0]] {
-					region[d[0]] = true
-				} else {
-					region[d[1]] = true
-				}
-				grew = true
-			}
-		}
-		if !grew {
-			if len(region) < p.NumOps {
-				for o := 0; o < p.NumOps; o++ {
-					region[o] = true
-				}
-				continue
-			}
-			return nil, len(region), fmt.Errorf("sched: fast reschedule infeasible: %w", err)
-		}
-	}
-}
-
-func solveRegion(p *Problem, prev Schedule, region map[int]bool, opts ilp.Options) (Schedule, error) {
-	e := NewEncoding(p)
-	m := e.Model
-	for o := 0; o < p.NumOps; o++ {
-		if region[o] {
-			continue
-		}
-		m.AddRow(fmt.Sprintf("freeze_%d", o),
-			[]ilp.Coef{{Var: e.XCol(o, prev[o]), Val: 1}}, ilp.GE, 1)
-	}
-	opts.WarmStart = e.EncodeSchedule(prev)
-	res := ilp.Solve(m, opts)
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		s := e.Decode(res.Solution)
-		if !s.Valid(p) {
-			return nil, fmt.Errorf("sched: region reschedule invalid (internal error)")
-		}
-		return s, nil
-	case ilp.Infeasible:
-		return nil, fmt.Errorf("sched: frozen region reschedule infeasible")
-	default:
-		return nil, fmt.Errorf("sched: region reschedule hit limits (%s)", res.Status)
-	}
-}
-
 // addPreserveTerms replaces the compaction objective of an existing
-// encoding with pure preservation against prev (shared by
-// PreserveReschedule and the domain adapter).
+// encoding with pure preservation against prev (the domain adapter's
+// PreserveTerms).
 func addPreserveTerms(e *Encoding, prev Schedule) {
 	m, p := e.Model, e.Problem
 	for o := 0; o < p.NumOps; o++ {
@@ -118,30 +20,6 @@ func addPreserveTerms(e *Encoding, prev Schedule) {
 		if t := prev[o]; t >= 0 && t < p.Steps {
 			m.SetObj(e.XCol(o, t), -1)
 		}
-	}
-}
-
-// PreserveReschedule re-solves the whole instance maximizing the number of
-// operations that keep their previous step (§7 adapted).
-func PreserveReschedule(p *Problem, prev Schedule, opts ilp.Options) (Schedule, ilp.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, ilp.Result{}, err
-	}
-	e := NewEncoding(p)
-	addPreserveTerms(e, prev)
-	opts.WarmStart = e.EncodeSchedule(prev)
-	res := ilp.Solve(e.Model, opts)
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		s := e.Decode(res.Solution)
-		if !s.Valid(p) {
-			return nil, res, fmt.Errorf("sched: preserving schedule invalid (internal error)")
-		}
-		return s, res, nil
-	case ilp.Infeasible:
-		return nil, res, fmt.Errorf("sched: no schedule within %d steps", p.Steps)
-	default:
-		return nil, res, fmt.Errorf("sched: preserving solve hit limits (%s)", res.Status)
 	}
 }
 

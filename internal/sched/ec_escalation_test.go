@@ -3,14 +3,13 @@ package sched
 import (
 	"strings"
 	"testing"
-
-	"ilpec/internal/ilp"
 )
 
 // TestFastRescheduleNeighborhoodEscalation pins the dependency-neighborhood
 // escalation path: the initial region (just the new operation) is
-// infeasible against the frozen schedule, and FastReschedule must grow the
-// region along dependency edges — twice — before the re-solve succeeds.
+// infeasible against the frozen schedule, and the fast-EC engine must grow
+// the region along dependency edges — twice — before the re-solve
+// succeeds.
 //
 // Chain a→b→c scheduled {0,1,2} in 4 steps (capacity 1); the change
 // prepends d with d→a. Region {d} fails (a is frozen at step 0), region
@@ -30,15 +29,16 @@ func TestFastRescheduleNeighborhoodEscalation(t *testing.T) {
 
 	d := p.AddOp(0)
 	p.AddDep(d, a)
-	s, region, err := FastReschedule(p, prev, ilp.Options{})
+	s, stats, err := fastReschedule(p, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Valid(p) {
 		t.Fatalf("rescheduled invalid: %v", s)
 	}
-	if region != p.NumOps {
-		t.Fatalf("region %d, want the full chain %d after neighborhood escalation", region, p.NumOps)
+	if stats.SubSize != p.NumOps || stats.Escalations != 2 {
+		t.Fatalf("region %d after %d escalations, want the full chain %d after 2 neighborhood growths",
+			stats.SubSize, stats.Escalations, p.NumOps)
 	}
 	if s[d] >= s[a] || s[a] >= s[b] || s[b] >= s[c] {
 		t.Fatalf("chain order broken: %v", s)
@@ -60,15 +60,15 @@ func TestFastRescheduleEscalationStaysPartial(t *testing.T) {
 	}
 	d := p.AddOp(0)
 	p.AddDep(d, a)
-	s, region, err := FastReschedule(p, prev, ilp.Options{})
+	s, stats, err := fastReschedule(p, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Valid(p) {
 		t.Fatalf("rescheduled invalid: %v", s)
 	}
-	if region != 2 {
-		t.Fatalf("region %d, want 2 ({d,a} after one dependency-neighborhood growth)", region)
+	if stats.SubSize != 2 || stats.Escalations != 1 || stats.FullResolve {
+		t.Fatalf("stats %+v, want region 2 ({d,a} after one dependency-neighborhood growth)", stats)
 	}
 	if s[b] != prev[b] {
 		t.Fatalf("op b moved from %d to %d despite being outside the region", prev[b], s[b])
@@ -78,25 +78,25 @@ func TestFastRescheduleEscalationStaysPartial(t *testing.T) {
 	}
 }
 
-// TestFastRescheduleInfeasibleReportsFullRegion covers the growth
-// fixpoint's last resort: with no escalation left, the region jumps to the
-// full operation set, and the error reports the exhausted region when even
-// that cannot absorb the change.
+// TestFastRescheduleInfeasibleReportsFullRegion covers the ladder's last
+// resort: the region grows to the full operation set, and the error
+// reports the whole changed problem infeasible (the engine says so only
+// once the region is full) when even that cannot absorb the change.
 func TestFastRescheduleInfeasibleReportsFullRegion(t *testing.T) {
 	p := NewProblem([]int{1}, 2)
 	p.AddOp(0)
 	p.AddOp(0)
 	prev := Schedule{0, 1}
 	p.AddOp(0) // three unit ops, two steps, capacity 1: impossible
-	_, region, err := FastReschedule(p, prev, ilp.Options{})
+	_, stats, err := fastReschedule(p, prev)
 	if err == nil {
 		t.Fatal("impossible reschedule succeeded")
 	}
-	if !strings.Contains(err.Error(), "infeasible") {
-		t.Fatalf("error %q does not name infeasibility", err)
+	if !strings.Contains(err.Error(), "changed problem is infeasible") {
+		t.Fatalf("error %q does not report the full problem infeasible", err)
 	}
-	if region != p.NumOps {
-		t.Fatalf("region %d, want %d (full escalation before giving up)", region, p.NumOps)
+	if stats.Escalations == 0 {
+		t.Fatal("gave up before escalating")
 	}
 }
 
@@ -111,23 +111,24 @@ func TestFastRescheduleCapacityViolationJoinsRegion(t *testing.T) {
 	p.AddOp(0)
 	prev = prev[:2] // third op is new → joins the region as -1
 	p.Capacity[0] = 1
-	s, region, err := FastReschedule(p, prev, ilp.Options{})
+	s, stats, err := fastReschedule(p, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Valid(p) {
 		t.Fatalf("rescheduled invalid: %v", s)
 	}
-	if region < 3 {
-		t.Fatalf("region %d too small: the capacity victims at step 0 must join", region)
+	if stats.SubSize < 3 {
+		t.Fatalf("region %d too small: the capacity victims at step 0 must join", stats.SubSize)
 	}
 }
 
-// TestFastRescheduleValidateError covers the input-validation guard.
+// TestFastRescheduleValidateError covers the input-validation guard the
+// serving layer runs before any solve.
 func TestFastRescheduleValidateError(t *testing.T) {
 	p := NewProblem([]int{1}, 0) // zero-step horizon is invalid
 	p.AddOp(0)
-	if _, _, err := FastReschedule(p, Schedule{0}, ilp.Options{}); err == nil {
+	if err := Domain().Validate(p); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }

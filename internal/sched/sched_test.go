@@ -4,8 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"ilpec/internal/domain"
 	"ilpec/internal/ilp"
 )
+
+// fastReschedule runs the §6 engine over the scheduling adapter.
+func fastReschedule(p *Problem, prev Schedule) (Schedule, domain.FastStats, error) {
+	sol, stats, err := domain.Fast(Domain(), p, prev, domain.FastOptions{})
+	if err != nil {
+		return nil, stats, err
+	}
+	return sol.(Schedule), stats, nil
+}
 
 // diamond builds the classic 4-op diamond DAG: 0 → {1,2} → 3, one adder
 // (type 0, capacity 1) and one multiplier (type 1, capacity 1).
@@ -155,15 +165,15 @@ func TestFastRescheduleAbsorbsNewOp(t *testing.T) {
 	changed := p.Clone()
 	n := changed.AddOp(1)
 	changed.AddDep(0, n)
-	s, region, err := FastReschedule(changed, prev, ilp.Options{})
+	s, stats, err := fastReschedule(changed, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Valid(changed) {
 		t.Fatalf("reschedule invalid: %v", s)
 	}
-	if region > 2 {
-		t.Fatalf("region %d too large for a single added op", region)
+	if stats.SubSize > 2 {
+		t.Fatalf("region %d too large for a single added op", stats.SubSize)
 	}
 	// Frozen operations keep their steps.
 	for o := 0; o < p.NumOps; o++ {
@@ -179,9 +189,9 @@ func TestFastRescheduleNoChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, region, err := FastReschedule(p, prev, ilp.Options{})
-	if err != nil || region != 0 {
-		t.Fatalf("no-op reschedule: region=%d err=%v", region, err)
+	s, stats, err := fastReschedule(p, prev)
+	if err != nil || !stats.AlreadyValid || stats.SubSize != 0 {
+		t.Fatalf("no-op reschedule: stats=%+v err=%v", stats, err)
 	}
 	if s.Agreement(prev) != 1 {
 		t.Fatal("schedule changed without cause")
@@ -201,7 +211,7 @@ func TestFastRescheduleEscalates(t *testing.T) {
 		t.Fatal("setup invalid")
 	}
 	p.Capacity[0] = 1 // EC: lose one adder
-	s, _, err := FastReschedule(p, prev, ilp.Options{})
+	s, _, err := fastReschedule(p, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +230,11 @@ func TestPreserveReschedule(t *testing.T) {
 	// EC: new dependency b -> c forces c later.
 	changed := p.Clone()
 	changed.AddDep(1, 2)
-	s, _, err := PreserveReschedule(changed, prev, ilp.Options{})
+	sol, _, err := domain.Preserve(Domain(), changed, prev, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := sol.(Schedule)
 	if !s.Valid(changed) {
 		t.Fatalf("preserving schedule invalid: %v", s)
 	}

@@ -396,7 +396,8 @@ func TestHTTPAdmission(t *testing.T) {
 
 	var created SessionInfo
 	if code, body := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-		"dimacs": "p cnf 2 2\n1 2 0\n-1 2 0\n",
+		"domain":  "cnf",
+		"problem": map[string]any{"dimacs": "p cnf 2 2\n1 2 0\n-1 2 0\n"},
 	}, &created); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, body)
 	}

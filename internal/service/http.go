@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"ilpec/internal/core"
 	"ilpec/internal/domain"
 	"ilpec/internal/store"
 )
@@ -39,9 +38,9 @@ const maxIdempotencyKey = 200
 //	GET    /readyz                   readiness probe (503 while draining,
 //	                                 store-quarantined, or cluster-partitioned)
 //
-// Sessions default to the CNF domain (the legacy dimacs/clauses create
-// shape); pass "domain" plus a domain-specific "problem" object to serve
-// coloring, scheduling, partitioning, or a custom adapter. Errors carry a
+// A create names a "domain" (default "cnf") and carries its "problem"
+// object, so one service serves CNF, coloring, scheduling, partitioning,
+// or a custom adapter. Errors carry a
 // structured body: {"error": {"code": "...", "message": "..."}}.
 //
 // Every response carries an X-Request-ID header (the inbound one is
@@ -126,9 +125,8 @@ func handleSessionList(svc *Service, w http.ResponseWriter, r *http.Request) {
 
 // ---- requests ------------------------------------------------------------
 
-// createRequest describes a new session. Either set Domain plus the
-// domain's Problem wire form, or use the legacy CNF shape (a DIMACS
-// string or a clause list).
+// createRequest describes a new session: a Domain plus the domain's
+// Problem wire form.
 type createRequest struct {
 	// ID optionally names the session instead of letting the service mint
 	// an id. cmd/ecrouter injects it so a create can be consistent-hashed
@@ -139,10 +137,6 @@ type createRequest struct {
 	Domain string `json:"domain,omitempty"`
 	// Problem is the domain-specific problem description.
 	Problem json.RawMessage `json:"problem,omitempty"`
-	// DIMACS/Vars/Clauses are the legacy CNF problem shape.
-	DIMACS  string  `json:"dimacs,omitempty"`
-	Vars    int     `json:"vars,omitempty"`
-	Clauses [][]int `json:"clauses,omitempty"`
 	// Strategy overrides the service default: "fast", "preserving", or
 	// "replan".
 	Strategy string `json:"strategy,omitempty"`
@@ -186,28 +180,12 @@ func handleCreate(svc *Service, w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unknown domain %q (have %v)", domainName, svc.Domains()))
 		return
 	}
-	var problem any
-	var err error
-	var legacy bool
-	switch {
-	case len(req.Problem) > 0:
-		if req.DIMACS != "" || len(req.Clauses) > 0 {
-			writeError(w, http.StatusBadRequest, "bad_problem",
-				fmt.Errorf("give problem or the legacy dimacs/clauses fields, not both"))
-			return
-		}
-		problem, err = d.ParseProblem(req.Problem)
-	case domainName == "cnf":
-		// Legacy CNF-only create shape (top-level dimacs/vars/clauses):
-		// accepted for one more release, answered with a Deprecation
-		// header and counted in the legacy_creates metric. Migrate to the
-		// generic {"domain": "cnf", "problem": {...}} shape — see the
-		// README's "Migrating off the legacy CNF create shape" note.
-		problem, err = core.FormulaFromWire(req.DIMACS, req.Vars, req.Clauses)
-		legacy = err == nil
-	default:
-		err = fmt.Errorf("domain %q needs a problem object", domainName)
+	if len(req.Problem) == 0 {
+		writeError(w, http.StatusBadRequest, "bad_problem",
+			fmt.Errorf("domain %q needs a problem object", domainName))
+		return
 	}
+	problem, err := d.ParseProblem(req.Problem)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_problem", err)
 		return
@@ -257,13 +235,6 @@ func handleCreate(svc *Service, w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, "create_failed", err)
 		}
 		return
-	}
-	if legacy {
-		svc.metrics.LegacyCreates.Add(1)
-		// RFC 8594-style deprecation signal: the request succeeded, but
-		// the shape it used is going away next release (see the README's
-		// migration note for the replacement).
-		w.Header().Set("Deprecation", "true")
 	}
 	writeJSON(w, http.StatusCreated, sess.Info())
 }

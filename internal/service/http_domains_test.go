@@ -57,7 +57,7 @@ func TestHTTPStructuredErrors(t *testing.T) {
 			wantCode: "unknown_domain",
 		},
 		"unknown strategy": {
-			body:     map[string]any{"clauses": [][]int{{1}}, "strategy": "psychic"},
+			body:     map[string]any{"domain": "cnf", "problem": map[string]any{"clauses": [][]int{{1}}}, "strategy": "psychic"},
 			wantCode: "unknown_strategy",
 		},
 		"bad problem": {
@@ -69,8 +69,13 @@ func TestHTTPStructuredErrors(t *testing.T) {
 			wantCode: "bad_problem",
 		},
 		"both problem shapes": {
-			body:     map[string]any{"domain": "cnf", "problem": map[string]any{"clauses": [][]int{{1}}}, "clauses": [][]int{{1}}},
+			body:     map[string]any{"domain": "cnf", "problem": map[string]any{"dimacs": "p cnf 1 1\n1 0\n", "clauses": [][]int{{1}}}},
 			wantCode: "bad_problem",
+		},
+		// The CNF problem fields are not accepted at the top level.
+		"top-level clauses": {
+			body:     map[string]any{"clauses": [][]int{{1}}},
+			wantCode: "bad_request",
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -65,7 +65,8 @@ func TestHTTPSessionWalkthrough(t *testing.T) {
 
 	var info SessionInfo
 	code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-		"clauses":  [][]int{{1, 2}, {-1, 3}, {2, 4}},
+		"domain":   "cnf",
+		"problem":  map[string]any{"clauses": [][]int{{1, 2}, {-1, 3}, {2, 4}}},
 		"strategy": "preserving",
 	}, &info)
 	if code != http.StatusCreated {
@@ -142,7 +143,8 @@ func TestHTTPCreateDIMACS(t *testing.T) {
 	_, ts := newTestServer(t)
 	var info SessionInfo
 	code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-		"dimacs": "p cnf 3 2\n1 -2 0\n2 3 0\n",
+		"domain":  "cnf",
+		"problem": map[string]any{"dimacs": "p cnf 3 2\n1 -2 0\n2 3 0\n"},
 	}, &info)
 	if code != http.StatusCreated || info.Vars != 3 || info.Clauses != 2 {
 		t.Fatalf("dimacs create: %d %s", code, raw)
@@ -151,30 +153,39 @@ func TestHTTPCreateDIMACS(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	_, ts := newTestServer(t)
+	cnfProblem := func(problem map[string]any) map[string]any {
+		return map[string]any{"domain": "cnf", "problem": problem}
+	}
 	for name, tc := range map[string]struct {
 		method, path string
 		body         any
 		want         int
+		code         string // error code, when pinned
 	}{
-		"missing formula": {"POST", "/v1/sessions", map[string]any{}, http.StatusBadRequest},
-		"both formats":    {"POST", "/v1/sessions", map[string]any{"dimacs": "p cnf 1 1\n1 0\n", "clauses": [][]int{{1}}}, http.StatusBadRequest},
-		"bad strategy":    {"POST", "/v1/sessions", map[string]any{"clauses": [][]int{{1}}, "strategy": "psychic"}, http.StatusBadRequest},
-		"zero literal":    {"POST", "/v1/sessions", map[string]any{"clauses": [][]int{{1, 0}}}, http.StatusBadRequest},
-		"unknown field":   {"POST", "/v1/sessions", map[string]any{"claws": [][]int{{1}}}, http.StatusBadRequest},
-		"unknown session": {"GET", "/v1/sessions/nope", nil, http.StatusNotFound},
-		"solve unknown":   {"POST", "/v1/sessions/nope/solve", nil, http.StatusNotFound},
+		"missing formula": {"POST", "/v1/sessions", map[string]any{}, http.StatusBadRequest, "bad_problem"},
+		"both formats":    {"POST", "/v1/sessions", cnfProblem(map[string]any{"dimacs": "p cnf 1 1\n1 0\n", "clauses": [][]int{{1}}}), http.StatusBadRequest, "bad_problem"},
+		"bad strategy":    {"POST", "/v1/sessions", map[string]any{"domain": "cnf", "problem": map[string]any{"clauses": [][]int{{1}}}, "strategy": "psychic"}, http.StatusBadRequest, "unknown_strategy"},
+		"zero literal":    {"POST", "/v1/sessions", cnfProblem(map[string]any{"clauses": [][]int{{1, 0}}}), http.StatusBadRequest, "bad_problem"},
+		"unknown field":   {"POST", "/v1/sessions", map[string]any{"claws": [][]int{{1}}}, http.StatusBadRequest, "bad_request"},
+		"unknown session": {"GET", "/v1/sessions/nope", nil, http.StatusNotFound, ""},
+		"solve unknown":   {"POST", "/v1/sessions/nope/solve", nil, http.StatusNotFound, ""},
 	} {
 		t.Run(name, func(t *testing.T) {
 			code, raw := doJSON(t, tc.method, ts.URL+tc.path, tc.body, nil)
 			if code != tc.want {
 				t.Fatalf("%s %s: got %d (%s), want %d", tc.method, tc.path, code, raw, tc.want)
 			}
+			if tc.code != "" {
+				if eb := decodeError(t, raw); eb.Error.Code != tc.code {
+					t.Fatalf("error code %q, want %q (%s)", eb.Error.Code, tc.code, raw)
+				}
+			}
 		})
 	}
 
 	// Bad change kinds and empty batches on a real session.
 	var info SessionInfo
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{"clauses": [][]int{{1, 2}}}, &info); code != http.StatusCreated {
+	if code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", cnfProblem(map[string]any{"clauses": [][]int{{1, 2}}}), &info); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}
 	base := ts.URL + "/v1/sessions/" + info.ID
@@ -221,7 +232,8 @@ func TestHTTPConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			var info SessionInfo
 			code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-				"clauses": [][]int{{1, 2}, {-1, 3}, {2, 4}, {-3, -4, 5}, {5, 6}},
+				"domain":  "cnf",
+				"problem": map[string]any{"clauses": [][]int{{1, 2}, {-1, 3}, {2, 4}, {-3, -4, 5}, {5, 6}}},
 			}, &info)
 			if code != http.StatusCreated {
 				errs <- fmt.Errorf("create: %d %s", code, raw)
@@ -283,7 +295,8 @@ func TestHTTPOverridesClamped(t *testing.T) {
 	})
 	var info SessionInfo
 	code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-		"clauses":       [][]int{{1, 2}},
+		"domain":        "cnf",
+		"problem":       map[string]any{"clauses": [][]int{{1, 2}}},
 		"workers":       1 << 20,
 		"time_limit_ms": 1 << 40,
 	}, &info)
@@ -302,7 +315,8 @@ func TestHTTPOverridesClamped(t *testing.T) {
 	}
 	// A request below the caps is honored as-is.
 	code, raw = doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-		"clauses":       [][]int{{1, 2}},
+		"domain":        "cnf",
+		"problem":       map[string]any{"clauses": [][]int{{1, 2}}},
 		"workers":       1,
 		"time_limit_ms": 50,
 	}, &info)
@@ -341,7 +355,8 @@ func TestHTTPChangesIdempotencyKey(t *testing.T) {
 
 	var info SessionInfo
 	if code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-		"clauses": [][]int{{1, 2}, {-1, 3}},
+		"domain":  "cnf",
+		"problem": map[string]any{"clauses": [][]int{{1, 2}, {-1, 3}}},
 	}, &info); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}

@@ -85,7 +85,8 @@ func TestPromEndpointEndToEnd(t *testing.T) {
 
 	var info SessionInfo
 	if code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-		"clauses": [][]int{{1, 2}, {-1, 3}},
+		"domain":  "cnf",
+		"problem": map[string]any{"clauses": [][]int{{1, 2}, {-1, 3}}},
 	}, &info); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}
@@ -147,7 +148,8 @@ func TestTraceInjectionEndToEnd(t *testing.T) {
 
 	var info SessionInfo
 	if code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{
-		"clauses": [][]int{{1, 2}, {-1, 3}},
+		"domain":  "cnf",
+		"problem": map[string]any{"clauses": [][]int{{1, 2}, {-1, 3}}},
 	}, &info); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}

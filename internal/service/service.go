@@ -74,8 +74,8 @@ type Options struct {
 	// session's solver options are used. Minimal applies to CNF sessions.
 	Fast core.FastOptions
 	// Preserve configures preserving-EC re-solves on CNF sessions
-	// (Mode/Weight/Protected). Preserve.Solve is ignored; the session's
-	// solver options are used. Non-CNF domains always maximize agreement.
+	// (Mode/Weight/Protected); the session's solver options are used.
+	// Non-CNF domains always maximize agreement.
 	Preserve core.PreserveOptions
 	// Strategy is the default re-solve strategy for change batches
 	// (sessions may override it at creation). Default: fast EC.
@@ -223,10 +223,6 @@ type Metrics struct {
 	InstanceRebuilds  atomic.Int64
 	InstanceRowsDelta atomic.Int64
 	ReseparatedRows   atomic.Int64
-	// LegacyCreates counts sessions created through the deprecated
-	// CNF-only dimacs/clauses shape (the response carries a Deprecation
-	// header; see the README's migration note).
-	LegacyCreates atomic.Int64
 	// JournalAppends / SnapshotsWritten count durable-store writes;
 	// Recoveries counts sessions found in the store at startup;
 	// Rehydrations counts evicted/recovered sessions rebuilt from the
@@ -297,8 +293,6 @@ type MetricsSnapshot struct {
 	InstanceRebuilds  int64 `json:"instance_rebuilds"`
 	InstanceRowsDelta int64 `json:"instance_rows_delta"`
 	ReseparatedRows   int64 `json:"reseparated_rows"`
-	// LegacyCreates counts deprecated dimacs/clauses session creates.
-	LegacyCreates int64 `json:"legacy_creates"`
 	// SessionsPersisted counts sessions that live only in the store
 	// (evicted, expired, or not yet rehydrated after recovery).
 	SessionsPersisted int   `json:"sessions_persisted"`
@@ -430,7 +424,7 @@ func New(opts Options) *Service {
 		cache: newSolveCache(opts.CacheSize),
 		exec:  newPool(opts.Workers, opts.MaxBacklog),
 		cnf: core.CNFWith(core.CNFOptions{
-			Fast:     core.FastOptions{Minimal: opts.Fast.Minimal, MaxEscalations: opts.Fast.MaxEscalations},
+			Fast:     core.FastOptions{Minimal: opts.Fast.Minimal},
 			Preserve: opts.Preserve,
 		}),
 		sessions:   make(map[string]*Session),
@@ -968,7 +962,6 @@ func (s *Service) Metrics() MetricsSnapshot {
 		InstanceRebuilds:  m.InstanceRebuilds.Load(),
 		InstanceRowsDelta: m.InstanceRowsDelta.Load(),
 		ReseparatedRows:   m.ReseparatedRows.Load(),
-		LegacyCreates:     m.LegacyCreates.Load(),
 
 		SessionsPersisted: stored,
 		JournalAppends:    m.JournalAppends.Load(),
