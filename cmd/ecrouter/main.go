@@ -39,12 +39,12 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"ilpec/internal/obs/pprofsrv"
 	"ilpec/internal/router"
 	"ilpec/internal/store"
 )
@@ -137,7 +137,7 @@ func serve(ctx context.Context, cfg config, logger *log.Logger, ready func(addr 
 	}
 	defer rt.Stop()
 	if cfg.debugAddr != "" {
-		stopDebug, err := serveDebug(cfg.debugAddr, logger)
+		stopDebug, err := pprofsrv.Serve(cfg.debugAddr, logger)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
@@ -178,24 +178,4 @@ func serve(ctx context.Context, cfg config, logger *log.Logger, ready func(addr 
 	m := rt.Metrics()
 	logger.Printf("proxied %d requests (%d failovers, %d minted ids)", m.Proxied, m.Failovers, m.MintedIDs)
 	return nil
-}
-
-// serveDebug exposes net/http/pprof on its own listener — kept off the
-// routing address so profiling endpoints are never publicly reachable.
-// The returned stop closes the listener.
-func serveDebug(addr string, logger *log.Logger) (stop func(), err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	go srv.Serve(ln) //nolint:errcheck // closed via stop
-	logger.Printf("pprof profiling on http://%s/debug/pprof/", ln.Addr())
-	return func() { srv.Close() }, nil
 }

@@ -77,7 +77,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -88,6 +87,7 @@ import (
 	"ilpec/internal/fault"
 	"ilpec/internal/ilp"
 	"ilpec/internal/obs"
+	"ilpec/internal/obs/pprofsrv"
 	"ilpec/internal/service"
 	"ilpec/internal/store"
 )
@@ -249,26 +249,6 @@ func parseFlags(args []string, errOut io.Writer) (config, error) {
 	return cfg, nil
 }
 
-// serveDebug exposes net/http/pprof on its own listener — kept off the
-// serving address so profiling endpoints are never reachable through
-// the public port or the router. The returned stop closes the listener.
-func serveDebug(addr string, logger *log.Logger) (stop func(), err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	go srv.Serve(ln) //nolint:errcheck // closed via stop
-	logger.Printf("pprof profiling on http://%s/debug/pprof/", ln.Addr())
-	return func() { srv.Close() }, nil
-}
-
 // advertiseURL resolves the membership address peers dial: the -advertise
 // override verbatim, else the bound address with unspecified hosts
 // (":8080", "[::]:8080") rewritten to loopback — good for single-host
@@ -374,7 +354,7 @@ func serve(ctx context.Context, cfg config, logger *log.Logger, ready func(addr 
 	})
 	defer svc.Close()
 	if cfg.debugAddr != "" {
-		stopDebug, err := serveDebug(cfg.debugAddr, logger)
+		stopDebug, err := pprofsrv.Serve(cfg.debugAddr, logger)
 		if err != nil {
 			ln.Close()
 			return fmt.Errorf("debug listener: %w", err)

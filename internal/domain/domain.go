@@ -203,7 +203,8 @@ type FastStats struct {
 	// AlreadyValid is true when the previous solution survived the change
 	// and no solver ran.
 	AlreadyValid bool
-	// SubSize is the number of re-decided units of the final region.
+	// SubSize is the number of re-decided units of the final region (on
+	// an error, of the last region solved).
 	SubSize int
 	// SubRows is the row count of the final sub-model (0 when no solver
 	// ran).

@@ -83,6 +83,12 @@ func Fast(d Domain, problem, prev any, opts FastOptions) (any, FastStats, error)
 			solveOpts.WarmStart = nil
 		}
 		res := ilp.Solve(enc.ILP(), solveOpts)
+		// Recorded per rung, so a pass that fails still reports how far
+		// the region grew.
+		stats.SubSize = region.Size()
+		stats.SubRows = enc.ILP().NumRows()
+		stats.FullResolve = region.Full()
+		stats.ILP = res
 		switch res.Status {
 		case ilp.Optimal, ilp.Feasible:
 			sub, err := enc.Decode(res.Solution)
@@ -96,10 +102,6 @@ func Fast(d Domain, problem, prev any, opts FastOptions) (any, FastStats, error)
 			if err := d.Verify(problem, merged); err != nil {
 				return nil, stats, fmt.Errorf("domain %s: fast-EC solution invalid (internal error): %w", d.Name(), err)
 			}
-			stats.SubSize = region.Size()
-			stats.SubRows = enc.ILP().NumRows()
-			stats.FullResolve = region.Full()
-			stats.ILP = res
 			return merged, stats, nil
 		case ilp.Infeasible:
 			if region.Full() {

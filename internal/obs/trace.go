@@ -199,10 +199,16 @@ func NewTraceRing(max int, threshold time.Duration) *TraceRing {
 	return &TraceRing{max: max, threshold: threshold}
 }
 
+// Keeps reports whether Offer would retain a trace of duration d, so a
+// caller can skip rendering a tree the ring would drop. Nil-safe.
+func (tr *TraceRing) Keeps(d time.Duration) bool {
+	return tr != nil && d >= tr.threshold
+}
+
 // Offer retains the trace if it is slow enough, evicting the oldest
 // entry when full. Nil-safe.
 func (tr *TraceRing) Offer(t *SpanOut, d time.Duration) {
-	if tr == nil || t == nil || d < tr.threshold {
+	if t == nil || !tr.Keeps(d) {
 		return
 	}
 	tr.mu.Lock()

@@ -42,7 +42,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ilpec/internal/cluster"
@@ -76,16 +75,19 @@ type Options struct {
 	Logger *log.Logger
 	// Now is the clock used against heartbeat TTLs (nil = time.Now).
 	Now func() time.Time
-	// Obs receives the router's instruments: per-route request latency,
-	// per-node proxy attempt latency, and request counters, exposed at
-	// GET /metrics. nil gets a private registry.
+	// Obs is the registry that holds every router instrument, exposed
+	// at GET /metrics: the counters behind the /v1/metrics "router"
+	// object (ec_router_*), per-route request latency and counts, and
+	// per-node proxy attempt latency. nil gets a private registry.
+	// Counters are keyed by name, so a registry serves one Router.
 	Obs *obs.Registry
 	// SlowTraceThreshold is the minimum request duration retained in the
 	// /v1/debug/traces ring (default 250ms).
 	SlowTraceThreshold time.Duration
 }
 
-// Metrics are the router's own counters (snapshot via Router.Metrics).
+// Metrics are the router's own counters (snapshot via Router.Metrics;
+// each is the registry series ec_router_<json tag>).
 type Metrics struct {
 	Refreshes    int64 `json:"refreshes"`
 	Proxied      int64 `json:"proxied"`
@@ -113,19 +115,21 @@ type Router struct {
 	addrs    map[string]string // node id -> base URL, ready nodes only
 	suspects map[string]bool   // unreachable since the last refresh
 
-	refreshes    atomic.Int64
-	proxied      atomic.Int64
-	failovers    atomic.Int64
-	suspected    atomic.Int64
-	mintedIDs    atomic.Int64
-	noReadyNodes atomic.Int64
-	partialLists atomic.Int64
-	conflictRecs atomic.Int64
+	// The router's counters live on reg as ec_router_<json tag of their
+	// Metrics field>; New registers them.
+	refreshes    *obs.Counter
+	proxied      *obs.Counter
+	failovers    *obs.Counter
+	suspected    *obs.Counter
+	mintedIDs    *obs.Counter
+	noReadyNodes *obs.Counter
+	partialLists *obs.Counter
+	conflictRecs *obs.Counter
 
-	// reg and traces back the /metrics exposition and the slow-trace
-	// ring (see obs.go). Never nil after New.
-	reg    *obs.Registry
-	traces *obs.TraceRing
+	// reg backs /metrics; http is the instrumentation seam Handler wraps
+	// the mux with. Never nil after New.
+	reg  *obs.Registry
+	http *obs.HTTP
 
 	stop chan struct{}
 	done chan struct{}
@@ -161,18 +165,26 @@ func New(opts Options) (*Router, error) {
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	slow := opts.SlowTraceThreshold
-	if slow <= 0 {
-		slow = defaultSlowTrace
-	}
+	r := opts.Obs
+	c := func(tag, help string) *obs.Counter { return r.Counter("ec_router_"+tag, help) }
 	return &Router{
 		opts:     opts,
 		members:  cluster.NewMembership(opts.Store),
 		ring:     cluster.BuildRing(nil, opts.VirtualNodes),
 		addrs:    map[string]string{},
 		suspects: map[string]bool{},
-		reg:      opts.Obs,
-		traces:   obs.NewTraceRing(defaultTraceRingSize, slow),
+
+		refreshes:    c("refreshes", "Membership refreshes (heartbeat read plus readiness probes)."),
+		proxied:      c("proxied", "Upstream responses relayed to clients."),
+		failovers:    c("failovers", "Proxy attempts sent to a ring successor after the owner."),
+		suspected:    c("suspected", "Nodes marked suspect after a transport error."),
+		mintedIDs:    c("minted_ids", "Session ids minted for creates that named none."),
+		noReadyNodes: c("no_ready_nodes", "Requests answered 503 because no node was ready."),
+		partialLists: c("partial_lists", "Session listings answered 503 because a ready node could not be listed."),
+		conflictRecs: c("conflict_recoveries", "Create failovers whose replay hit 409 and recovered the existing session."),
+
+		reg:  r,
+		http: obs.NewHTTP(r, "router", "ec_router", opts.SlowTraceThreshold, nil),
 	}, nil
 }
 
@@ -276,17 +288,18 @@ func (rt *Router) probeReady(addr string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Metrics snapshots the router counters.
+// Metrics snapshots the router counters (the /v1/metrics "router"
+// object).
 func (rt *Router) Metrics() Metrics {
 	return Metrics{
-		Refreshes:          rt.refreshes.Load(),
-		Proxied:            rt.proxied.Load(),
-		Failovers:          rt.failovers.Load(),
-		Suspected:          rt.suspected.Load(),
-		MintedIDs:          rt.mintedIDs.Load(),
-		NoReadyNodes:       rt.noReadyNodes.Load(),
-		PartialLists:       rt.partialLists.Load(),
-		ConflictRecoveries: rt.conflictRecs.Load(),
+		Refreshes:          rt.refreshes.Value(),
+		Proxied:            rt.proxied.Value(),
+		Failovers:          rt.failovers.Value(),
+		Suspected:          rt.suspected.Value(),
+		MintedIDs:          rt.mintedIDs.Value(),
+		NoReadyNodes:       rt.noReadyNodes.Value(),
+		PartialLists:       rt.partialLists.Value(),
+		ConflictRecoveries: rt.conflictRecs.Value(),
 	}
 }
 
@@ -360,14 +373,14 @@ func (rt *Router) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
 	mux.HandleFunc("GET /v1/metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /metrics", rt.handleProm)
-	mux.HandleFunc("GET /v1/debug/traces", rt.handleDebugTraces)
+	mux.HandleFunc("GET /metrics", rt.http.ServeMetrics("router", func() any { return rt.Metrics() }))
+	mux.HandleFunc("GET /v1/debug/traces", rt.http.ServeTraces)
 	mux.HandleFunc("GET /v1/domains", rt.handleAny)
 	mux.HandleFunc("GET /v1/sessions", rt.handleList)
 	mux.HandleFunc("POST /v1/sessions", rt.handleCreate)
 	mux.HandleFunc("/v1/sessions/{id}", rt.handleSession)
 	mux.HandleFunc("/v1/sessions/{id}/{op}", rt.handleSession)
-	return rt.instrument(mux)
+	return rt.http.Wrap(mux)
 }
 
 // handleCluster reports the operator view: every live heartbeat plus
@@ -754,7 +767,7 @@ func (rt *Router) try(r *http.Request, node, addr string, body []byte) *http.Res
 	// retries through 502s safe even though the router itself never
 	// replays non-idempotent requests. X-Request-ID ties the two tiers'
 	// logs together, and X-EC-Trace asks the node for its span tree (the
-	// router grafts it under its own; see obs.go).
+	// router grafts it under its own; see obs.HTTP).
 	for _, h := range []string{"Content-Type", "Idempotency-Key", "X-Request-ID", "X-EC-Trace"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)

@@ -81,7 +81,8 @@ func TestFastRescheduleEscalationStaysPartial(t *testing.T) {
 // TestFastRescheduleInfeasibleReportsFullRegion covers the ladder's last
 // resort: the region grows to the full operation set, and the error
 // reports the whole changed problem infeasible (the engine says so only
-// once the region is full) when even that cannot absorb the change.
+// once the region is full) when even that cannot absorb the change. The
+// failed pass still reports the full region it solved.
 func TestFastRescheduleInfeasibleReportsFullRegion(t *testing.T) {
 	p := NewProblem([]int{1}, 2)
 	p.AddOp(0)
@@ -97,6 +98,9 @@ func TestFastRescheduleInfeasibleReportsFullRegion(t *testing.T) {
 	}
 	if stats.Escalations == 0 {
 		t.Fatal("gave up before escalating")
+	}
+	if stats.SubSize != p.NumOps || !stats.FullResolve {
+		t.Fatalf("stats %+v, want SubSize %d and FullResolve (full escalation before giving up)", stats, p.NumOps)
 	}
 }
 

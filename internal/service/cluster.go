@@ -222,29 +222,33 @@ func (s *Service) clusterPublish(d domain.Domain, problem any, key string, sol a
 
 // cachedSolveFleet is cachedSolve with the fleet cache layered under the
 // in-process LRU: local hit → fleet peek → compute (and publish when the
-// fresh result is proven). Caller holds s.mu.
+// fresh result is proven). It counts SolverRuns: a local miss that no
+// peer's published result answered. Caller holds s.mu.
 func (s *Session) cachedSolveFleet(ctx context.Context, key string, problem any, compute func() (any, bool, error)) (any, bool, error) {
-	if !s.svc.clustered() {
-		return s.svc.cachedSolve(ctx, key, s.dom.CloneSolution, compute)
-	}
 	peeked := false
-	wrapped := func() (any, bool, error) {
-		if sol, ok := s.svc.clusterPeek(s.dom, problem, key); ok {
-			peeked = true
-			return sol, true, nil
+	wrapped := compute
+	if s.svc.clustered() {
+		wrapped = func() (any, bool, error) {
+			if sol, ok := s.svc.clusterPeek(s.dom, problem, key); ok {
+				peeked = true
+				return sol, true, nil
+			}
+			v, ok, err := compute()
+			if err == nil && ok {
+				s.svc.clusterPublish(s.dom, problem, key, v)
+			}
+			return v, ok, err
 		}
-		v, ok, err := compute()
-		if err == nil && ok {
-			s.svc.clusterPublish(s.dom, problem, key, v)
-		}
-		return v, ok, err
 	}
 	val, hit, err := s.svc.cachedSolve(ctx, key, s.dom.CloneSolution, wrapped)
-	if peeked && err == nil && !hit {
-		// The "miss" was served by a peer's published result, not a local
-		// branch-and-bound run; keep SolverRuns honest.
-		s.svc.metrics.SolverRuns.Add(-1)
-		hit = true
+	if err == nil && !hit {
+		if peeked {
+			// The miss was served by a peer's published result, not a
+			// local branch-and-bound run.
+			hit = true
+		} else {
+			s.svc.metrics.SolverRuns.Add(1)
+		}
 	}
 	return val, hit, err
 }

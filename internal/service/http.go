@@ -72,12 +72,8 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, svc.Metrics())
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		handleProm(svc, w, r)
-	})
-	mux.HandleFunc("GET /v1/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		handleDebugTraces(svc, w, r)
-	})
+	mux.HandleFunc("GET /metrics", svc.sobs.http.ServeMetrics("service", func() any { return svc.Metrics() }))
+	mux.HandleFunc("GET /v1/debug/traces", svc.sobs.http.ServeTraces)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
@@ -93,7 +89,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 	})
-	return instrumentHandler(svc, mux)
+	return svc.sobs.http.Wrap(mux)
 }
 
 // handleSessionList serves GET /v1/sessions with optional keyset paging:

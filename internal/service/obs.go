@@ -1,32 +1,16 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"log/slog"
-	"net/http"
-	"reflect"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"ilpec/internal/obs"
 )
 
-// This file is the service's observability seam: the HTTP middleware
-// that mints request ids, assembles per-request trace trees, and records
-// per-route latency; the solve-phase instrumentation hooks; and the
-// Prometheus/JSON exposition served at /metrics (the legacy /v1/metrics
-// snapshot is untouched).
-
-const (
-	defaultSlowTrace     = 250 * time.Millisecond
-	defaultTraceRingSize = 64
-)
+// This file holds the service's instruments beyond its counters (which
+// live in Metrics, registered on the same registry): the solve-phase
+// histograms and trace hooks, the durable-store latency recorder, and
+// the HTTP seam (obs.HTTP) that NewHandler wraps its mux with.
 
 // Solve-phase names, pre-registered so every phase series appears in the
 // exposition from the first scrape (a zero histogram is still a series).
@@ -38,29 +22,16 @@ var solvePhases = []string{
 // nil-receiver-safe so instrumentation sites need no guards.
 type serviceObs struct {
 	reg    *obs.Registry
-	traces *obs.TraceRing
-	log    *slog.Logger
-
+	http   *obs.HTTP
 	phases map[string]*obs.Histogram
-
-	// Request-id minting: a per-process epoch plus a counter keeps ids
-	// unique without a dependency on crypto/rand in the hot path.
-	reqEpoch int64
-	reqSeq   atomic.Int64
 }
 
 func newServiceObs(opts Options) *serviceObs {
 	so := &serviceObs{
-		reg:      opts.Obs,
-		log:      opts.RequestLog,
-		reqEpoch: time.Now().UnixNano(),
-		phases:   make(map[string]*obs.Histogram, len(solvePhases)),
+		reg:    opts.Obs,
+		http:   obs.NewHTTP(opts.Obs, "http", "ec_http", opts.SlowTraceThreshold, opts.RequestLog),
+		phases: make(map[string]*obs.Histogram, len(solvePhases)),
 	}
-	slow := opts.SlowTraceThreshold
-	if slow <= 0 {
-		slow = defaultSlowTrace
-	}
-	so.traces = obs.NewTraceRing(defaultTraceRingSize, slow)
 	for _, p := range solvePhases {
 		so.phases[p] = so.reg.Histogram("ec_solve_phase_seconds",
 			"Wall-clock per solve phase (seconds).", obs.Label{Key: "phase", Value: p})
@@ -118,232 +89,4 @@ func (so *serviceObs) storeRecorder(backend string) func(op string, d time.Durat
 				obs.Label{Key: "backend", Value: backend}, obs.Label{Key: "op", Value: op}).Inc()
 		}
 	}
-}
-
-func (so *serviceObs) mintRequestID() string {
-	return fmt.Sprintf("req-%x-%x", so.reqEpoch, so.reqSeq.Add(1))
-}
-
-// ---- HTTP middleware -------------------------------------------------------
-
-// routeName classifies a request for metric labels. http.Request.Pattern
-// is set on the mux's internal copy, unreadable after ServeHTTP returns,
-// so the classification is by hand — which also keeps label cardinality
-// bounded for arbitrary (404) paths.
-func routeName(method, path string) string {
-	switch {
-	case path == "/v1/sessions":
-		if method == http.MethodGet {
-			return "sessions_list"
-		}
-		return "session_create"
-	case strings.HasPrefix(path, "/v1/sessions/"):
-		switch {
-		case strings.HasSuffix(path, "/changes"):
-			return "session_changes"
-		case strings.HasSuffix(path, "/solve"):
-			return "session_solve"
-		case strings.HasSuffix(path, "/flex"):
-			return "session_flex"
-		case method == http.MethodDelete:
-			return "session_delete"
-		default:
-			return "session_get"
-		}
-	case path == "/v1/domains":
-		return "domains"
-	case path == "/v1/metrics":
-		return "metrics"
-	case path == "/metrics":
-		return "prom_metrics"
-	case path == "/v1/debug/traces":
-		return "debug_traces"
-	case path == "/healthz":
-		return "healthz"
-	case path == "/readyz":
-		return "readyz"
-	default:
-		return "other"
-	}
-}
-
-func statusClass(status int) string {
-	switch {
-	case status < 300:
-		return "2xx"
-	case status < 400:
-		return "3xx"
-	case status < 500:
-		return "4xx"
-	default:
-		return "5xx"
-	}
-}
-
-// wantsTrace reports whether the client asked for the request's span
-// tree in the response (?trace=1 or X-EC-Trace: 1).
-func wantsTrace(r *http.Request) bool {
-	return r.URL.Query().Get("trace") == "1" || r.Header.Get("X-EC-Trace") == "1"
-}
-
-// obsResponseWriter captures the status code and, for traced requests,
-// buffers the body so the rendered span tree can be spliced into the
-// JSON response after the handler returns.
-type obsResponseWriter struct {
-	http.ResponseWriter
-	status      int
-	wroteHeader bool
-	buffer      *bytes.Buffer // non-nil = hold the response back for trace injection
-}
-
-func (w *obsResponseWriter) WriteHeader(code int) {
-	if w.wroteHeader {
-		return
-	}
-	w.wroteHeader = true
-	w.status = code
-	if w.buffer == nil {
-		w.ResponseWriter.WriteHeader(code)
-	}
-}
-
-func (w *obsResponseWriter) Write(b []byte) (int, error) {
-	if !w.wroteHeader {
-		w.WriteHeader(http.StatusOK)
-	}
-	if w.buffer != nil {
-		return w.buffer.Write(b)
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *obsResponseWriter) statusOr200() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
-// flushTraced releases a buffered response, splicing the trace into a
-// top-level JSON object body (any other shape passes through unchanged).
-func (w *obsResponseWriter) flushTraced(trace *obs.SpanOut) {
-	body := w.buffer.Bytes()
-	var m map[string]any
-	if json.Unmarshal(body, &m) == nil && m != nil {
-		m["trace"] = trace
-		if out, err := json.MarshalIndent(m, "", "  "); err == nil {
-			body = out
-		}
-	}
-	w.ResponseWriter.WriteHeader(w.statusOr200())
-	w.ResponseWriter.Write(body) //nolint:errcheck // client went away; nothing to do
-}
-
-// instrumentHandler is the outermost HTTP layer: request ids, the
-// per-request trace root, per-route latency/status metrics, the slow
-// trace ring, structured request logs, and on-demand trace injection.
-func instrumentHandler(svc *Service, next http.Handler) http.Handler {
-	so := svc.sobs
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := routeName(r.Method, r.URL.Path)
-		reqID := r.Header.Get("X-Request-ID")
-		if reqID == "" {
-			reqID = so.mintRequestID()
-		}
-		w.Header().Set("X-Request-ID", reqID)
-
-		// Every request is traced internally (spans are a few small
-		// allocations), so the slow ring can catch requests nobody thought
-		// to trace; the tree is only returned when asked for.
-		ctx := obs.WithRequestID(r.Context(), reqID)
-		ctx, root := obs.NewTrace(ctx, "http "+route)
-		root.SetAttr("method", r.Method)
-		root.SetAttr("path", r.URL.Path)
-		root.SetAttr("request_id", reqID)
-		rw := &obsResponseWriter{ResponseWriter: w}
-		if wantsTrace(r) {
-			rw.buffer = &bytes.Buffer{}
-		}
-
-		next.ServeHTTP(rw, r.WithContext(ctx))
-
-		root.End()
-		status := rw.statusOr200()
-		root.SetAttr("status", strconv.Itoa(status))
-		d := root.Duration()
-		rendered := root.Render()
-		so.traces.Offer(rendered, d)
-		if rw.buffer != nil {
-			rw.flushTraced(rendered)
-		}
-		so.reg.Histogram("ec_http_request_seconds", "HTTP request latency by route (seconds).",
-			obs.Label{Key: "route", Value: route}).Observe(d)
-		so.reg.Counter("ec_http_requests_total", "HTTP requests by route and status class.",
-			obs.Label{Key: "route", Value: route}, obs.Label{Key: "status", Value: statusClass(status)}).Inc()
-		if so.log != nil {
-			so.log.LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.String("request_id", reqID),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.String("route", route),
-				slog.Int("status", status),
-				slog.Duration("duration", d),
-			)
-		}
-	})
-}
-
-// ---- exposition ------------------------------------------------------------
-
-// promGauges are the MetricsSnapshot fields that report point-in-time
-// state rather than cumulative counts.
-var promGauges = map[string]bool{
-	"sessions_live":      true,
-	"cache_entries":      true,
-	"sessions_persisted": true,
-	"sessions_degraded":  true,
-}
-
-// writeSnapshotProm renders every MetricsSnapshot field as an
-// ec_service_<json_tag> series. Reflection keeps the exposition in
-// lockstep with the snapshot: a counter added to Metrics and
-// MetricsSnapshot appears here with no further wiring (the golden test
-// in obs_golden_test.go pins this chain).
-func writeSnapshotProm(w io.Writer, snap MetricsSnapshot) {
-	v := reflect.ValueOf(snap)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		tag, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-		if tag == "" || tag == "-" {
-			continue
-		}
-		kind := "counter"
-		if promGauges[tag] {
-			kind = "gauge"
-		}
-		name := "ec_service_" + tag
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, kind, name, v.Field(i).Int())
-	}
-}
-
-// handleProm serves GET /metrics: Prometheus text by default (the
-// /v1/metrics counters as ec_service_* series plus every registry
-// instrument), or the JSON form with ?format=json.
-func handleProm(svc *Service, w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"service": svc.Metrics(),
-			"series":  svc.sobs.reg.Snapshot(),
-		})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writeSnapshotProm(w, svc.Metrics())
-	svc.sobs.reg.WritePrometheus(w)
-}
-
-// handleDebugTraces serves GET /v1/debug/traces: the retained slow
-// traces, oldest first.
-func handleDebugTraces(svc *Service, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"traces": svc.sobs.traces.Snapshot()})
 }

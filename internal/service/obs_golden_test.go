@@ -2,80 +2,15 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"reflect"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"ilpec/internal/obs"
 )
-
-// These tests pin the chain Metrics → MetricsSnapshot → Prometheus
-// exposition: a counter added to one layer but forgotten in another
-// fails here, not in a dashboard three weeks later.
-
-// Every atomic counter in Metrics must have a same-named field in
-// MetricsSnapshot (the JSON/Prometheus reporting copy). SessionsLive,
-// CacheEntries and SessionsPersisted are snapshot-only (computed, not
-// accumulated), which is fine — the constraint is one-directional.
-func TestMetricsSnapshotCoversEveryMetricsField(t *testing.T) {
-	snapFields := map[string]bool{}
-	st := reflect.TypeOf(MetricsSnapshot{})
-	for i := 0; i < st.NumField(); i++ {
-		snapFields[st.Field(i).Name] = true
-	}
-	mt := reflect.TypeOf(Metrics{})
-	for i := 0; i < mt.NumField(); i++ {
-		name := mt.Field(i).Name
-		if !snapFields[name] {
-			t.Errorf("Metrics.%s has no MetricsSnapshot counterpart — add it to MetricsSnapshot (and Service.Metrics) so it reaches /v1/metrics and /metrics", name)
-		}
-	}
-}
-
-// Every MetricsSnapshot field must surface as an ec_service_<json_tag>
-// series in the Prometheus exposition, with gauge typing for the
-// point-in-time fields, and the rendered block must be valid exposition
-// text.
-func TestSnapshotPromCoversEverySnapshotField(t *testing.T) {
-	var buf strings.Builder
-	writeSnapshotProm(&buf, MetricsSnapshot{})
-	text := buf.String()
-	if err := obs.ValidatePrometheus(text); err != nil {
-		t.Fatalf("writeSnapshotProm output invalid: %v\n%s", err, text)
-	}
-
-	st := reflect.TypeOf(MetricsSnapshot{})
-	for i := 0; i < st.NumField(); i++ {
-		tag, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
-		if tag == "" || tag == "-" {
-			t.Errorf("MetricsSnapshot.%s has no json tag — it is invisible to /v1/metrics and /metrics", st.Field(i).Name)
-			continue
-		}
-		kind := "counter"
-		if promGauges[tag] {
-			kind = "gauge"
-		}
-		want := fmt.Sprintf("# TYPE ec_service_%s %s\nec_service_%s 0\n", tag, kind, tag)
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q series for MetricsSnapshot.%s", "ec_service_"+tag, st.Field(i).Name)
-		}
-	}
-
-	// promGauges must not drift from the snapshot's actual field set.
-	tags := map[string]bool{}
-	for i := 0; i < st.NumField(); i++ {
-		tag, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
-		tags[tag] = true
-	}
-	for g := range promGauges {
-		if !tags[g] {
-			t.Errorf("promGauges lists %q but MetricsSnapshot has no such json tag", g)
-		}
-	}
-}
 
 // End-to-end through the handler: after real traffic, GET /metrics is
 // valid Prometheus text carrying the service counters, the per-route
@@ -141,10 +76,14 @@ func TestPromEndpointEndToEnd(t *testing.T) {
 // X-Request-ID response header and the trace's request_id attr must
 // agree, and /v1/debug/traces must decode.
 func TestTraceInjectionEndToEnd(t *testing.T) {
-	svc, ts := newTestServer(t)
-	// Force every request into the slow ring so /v1/debug/traces has
-	// content without an artificial stall.
-	svc.sobs.traces = obs.NewTraceRing(8, 0)
+	// A 1ns slow-trace threshold puts every request into the slow ring,
+	// so /v1/debug/traces has content without an artificial stall.
+	svc := New(Options{Workers: 4, SlowTraceThreshold: time.Nanosecond})
+	ts := httptest.NewServer(NewHandler(svc))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
 
 	var info SessionInfo
 	if code, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", map[string]any{

@@ -149,11 +149,14 @@ type Options struct {
 	// must be cross-process safe (store.NewSharedFile). The service does
 	// not start or stop the node; cmd/ecserve owns its lifecycle.
 	Cluster *cluster.Node
-	// Obs receives the service's fine-grained instruments: per-route
-	// request latency histograms, per-phase solve timings, and durable-
-	// store operation latencies (see the README's Observability section).
-	// nil gets a private registry, so /metrics always serves; share one
-	// registry with cluster.Config.Obs to expose both on one endpoint.
+	// Obs is the registry that holds every service instrument: the
+	// counters and gauges behind /v1/metrics (ec_service_*), per-route
+	// request latency, per-phase solve timings, and durable-store
+	// operation latencies (see the README's Observability section). nil
+	// gets a private registry, so /metrics always serves. Counters are
+	// keyed by name, so a registry serves one Service: two Services on
+	// one registry would sum their counts. Sharing it with
+	// cluster.Config.Obs exposes both on one endpoint.
 	Obs *obs.Registry
 	// RequestLog, when set, receives one structured line per HTTP request
 	// (request id, route, status, duration). nil logs nothing.
@@ -171,102 +174,84 @@ type SessionConfig struct {
 	Solve *ilp.Options
 }
 
-// Metrics are the service-wide counters, updated atomically.
+// Metrics are the service-wide counters. Each lives on the service's
+// obs registry as ec_service_<json tag of its MetricsSnapshot field>;
+// newMetrics registers them and its help strings say what each counts.
 type Metrics struct {
-	SessionsCreated atomic.Int64
-	SessionsClosed  atomic.Int64
-	// ChangesQueued counts individual changes posted to sessions.
-	ChangesQueued atomic.Int64
-	// Batches counts change batches resolved (each coalesces ≥1 changes
-	// into a single pass; Batches < ChangesQueued measures coalescing).
-	Batches atomic.Int64
-	// DuplicateBatches counts change batches acknowledged without being
-	// applied because their idempotency key matched an already-accepted
-	// batch — a client replay after a lost response.
-	DuplicateBatches atomic.Int64
-	// Solves counts Session.Solve calls that produced a solution
-	// (initial solves, batch re-solves, and relax fast-paths).
-	Solves atomic.Int64
-	// SolverRuns counts actual branch-and-bound executions — cache
-	// misses. Solves − SolverRuns − RelaxFastPaths ≈ cache hits.
-	SolverRuns atomic.Int64
-	// CacheHits / CacheMisses count solve-cache lookups (a hit includes
-	// joining another session's in-flight identical solve).
-	CacheHits   atomic.Int64
-	CacheMisses atomic.Int64
-	// RelaxFastPaths counts batches absorbed without any solver work
-	// (relaxing-only change sets, §6).
-	RelaxFastPaths atomic.Int64
-	// IncumbentHits counts solves warm-started from the shared incumbent
-	// store (same problem solved before under different options).
-	IncumbentHits atomic.Int64
-	// TruncatedSolves counts solver runs stopped by a node/time limit or
-	// a cancelled request. Their results are NOT cache-eligible: only
-	// proven (optimal/infeasible) outcomes enter the solve cache, so a
-	// truncated solve is re-attempted on the next request.
-	TruncatedSolves atomic.Int64
-	// PresolveFixed / PresolveRows / CutsAdded / CutsReused /
-	// CutTightenings accumulate the kernel's presolve and cut-pool
-	// counters across all solver runs (ilp.Options.Presolve / Cuts).
-	PresolveFixed  atomic.Int64
-	PresolveRows   atomic.Int64
-	CutsAdded      atomic.Int64
-	CutsReused     atomic.Int64
-	CutTightenings atomic.Int64
-	// InstanceReuses counts solves served from a session's live
-	// persistent instance (the drained batch synced on as row deltas);
-	// InstanceRebuilds counts instances (re)built from scratch — first
-	// solves plus batches no delta could express. InstanceRowsDelta and
-	// ReseparatedRows accumulate the kernel's per-solve row-edit and
-	// re-separation counters across instance solves.
-	InstanceReuses    atomic.Int64
-	InstanceRebuilds  atomic.Int64
-	InstanceRowsDelta atomic.Int64
-	ReseparatedRows   atomic.Int64
-	// JournalAppends / SnapshotsWritten count durable-store writes;
-	// Recoveries counts sessions found in the store at startup;
-	// Rehydrations counts evicted/recovered sessions rebuilt from the
-	// store on touch; Evictions counts LRU evictions under
-	// MaxLiveSessions; TTLExpirations counts idle sessions the TTL sweep
-	// snapshotted-and-closed.
-	JournalAppends   atomic.Int64
-	SnapshotsWritten atomic.Int64
-	Recoveries       atomic.Int64
-	Rehydrations     atomic.Int64
-	Evictions        atomic.Int64
-	TTLExpirations   atomic.Int64
-	// JournalRetries counts backed-off re-attempts of transient store
-	// faults; SnapshotFailures counts snapshot/compaction writes that
-	// ultimately failed (they feed the quarantine heuristic instead of
-	// being discarded). Quarantines counts sessions entering memory-only
-	// degraded service; QuarantineProbes/QuarantineHeals count store
-	// re-probes and successful returns to durable service.
-	JournalRetries   atomic.Int64
-	SnapshotFailures atomic.Int64
-	Quarantines      atomic.Int64
-	QuarantineProbes atomic.Int64
-	QuarantineHeals  atomic.Int64
-	// QueueRejections counts change batches refused at MaxPending (429);
-	// BacklogRejections counts solves shed at MaxBacklog (503).
-	QueueRejections   atomic.Int64
-	BacklogRejections atomic.Int64
-	// ClusterLeaseAcquired / ClusterLeaseRenewals count session-ownership
-	// lease operations; ClusterNotOwner counts lookups refused because
-	// another node holds the lease; ClusterFenced counts sessions fenced
-	// after a definitive ownership loss (the split-brain guard firing).
-	ClusterLeaseAcquired atomic.Int64
-	ClusterLeaseRenewals atomic.Int64
-	ClusterNotOwner      atomic.Int64
-	ClusterFenced        atomic.Int64
-	// ClusterPeekHits / ClusterPeekMisses count fleet-cache lookups on
-	// local-cache misses; ClusterPeekStores counts proven results
-	// published for peers.
-	ClusterPeekHits   atomic.Int64
-	ClusterPeekMisses atomic.Int64
-	ClusterPeekStores atomic.Int64
+	SessionsCreated, SessionsClosed                       *obs.Counter
+	ChangesQueued, Batches, DuplicateBatches              *obs.Counter
+	Solves, SolverRuns, CacheHits, CacheMisses            *obs.Counter
+	RelaxFastPaths, IncumbentHits, TruncatedSolves        *obs.Counter
+	PresolveFixed, PresolveRows                           *obs.Counter
+	CutsAdded, CutsReused, CutTightenings                 *obs.Counter
+	InstanceReuses, InstanceRebuilds                      *obs.Counter
+	InstanceRowsDelta, ReseparatedRows                    *obs.Counter
+	JournalAppends, SnapshotsWritten, Recoveries          *obs.Counter
+	Rehydrations, Evictions, TTLExpirations               *obs.Counter
+	JournalRetries, SnapshotFailures                      *obs.Counter
+	Quarantines, QuarantineProbes, QuarantineHeals        *obs.Counter
+	QueueRejections, BacklogRejections                    *obs.Counter
+	ClusterLeaseAcquired, ClusterLeaseRenewals            *obs.Counter
+	ClusterNotOwner, ClusterFenced                        *obs.Counter
+	ClusterPeekHits, ClusterPeekMisses, ClusterPeekStores *obs.Counter
 }
 
-// MetricsSnapshot is a plain-value copy of Metrics for reporting.
+// newMetrics registers every service counter on r. Counters are keyed by
+// name, so each registry serves one Service.
+func newMetrics(r *obs.Registry) Metrics {
+	c := func(tag, help string) *obs.Counter { return r.Counter("ec_service_"+tag, help) }
+	return Metrics{
+		SessionsCreated:  c("sessions_created", "Sessions created."),
+		SessionsClosed:   c("sessions_closed", "Sessions closed (deleted, TTL-expired, or dropped at shutdown)."),
+		ChangesQueued:    c("changes_queued", "Individual changes posted to sessions."),
+		Batches:          c("batches", "Change batches resolved; each coalesces one or more changes into a single pass."),
+		DuplicateBatches: c("duplicate_batches", "Change batches acknowledged without being applied: their idempotency key matched an accepted batch."),
+		Solves:           c("solves", "Session solves that produced a solution (initial, batch re-solve, relax fast path)."),
+		SolverRuns:       c("solver_runs", "Branch-and-bound executions (solve-cache misses computed locally)."),
+		CacheHits:        c("cache_hits", "Solve-cache hits, including joins of an identical in-flight solve."),
+		CacheMisses:      c("cache_misses", "Solve-cache misses."),
+		RelaxFastPaths:   c("relax_fast_paths", "Batches absorbed without solver work (relaxing-only change sets)."),
+		IncumbentHits:    c("incumbent_hits", "Solves warm-started from the shared incumbent store."),
+		TruncatedSolves:  c("truncated_solves", "Solver runs stopped by a node/time limit or a cancelled request (never cached)."),
+		PresolveFixed:    c("presolve_fixed", "Variables fixed by the kernel's presolve, over all solver runs."),
+		PresolveRows:     c("presolve_rows", "Rows dropped by the kernel's presolve, over all solver runs."),
+		CutsAdded:        c("cuts_added", "Cut rows added to solves (separated fresh plus served from the pool)."),
+		CutsReused:       c("cuts_reused", "Cut rows served from a retained cut pool without re-separation."),
+		CutTightenings:   c("cut_tightenings", "Variable fixings forced by cut rows during propagation."),
+
+		InstanceReuses:    c("instance_reuses", "Solves served from a session's live instance, the batch synced on as row deltas."),
+		InstanceRebuilds:  c("instance_rebuilds", "Persistent instances built from scratch (first solves and batches no delta could express)."),
+		InstanceRowsDelta: c("instance_rows_delta", "Row edits (adds, removes, RHS and pin changes) synced onto persistent instances."),
+		ReseparatedRows:   c("reseparated_rows", "Source rows that paid full cut separation because the pool had no entry for them."),
+
+		JournalAppends:   c("journal_appends", "Durable-store journal appends."),
+		SnapshotsWritten: c("snapshots_written", "Durable-store snapshots written."),
+		Recoveries:       c("recoveries", "Sessions found in the store at startup."),
+		Rehydrations:     c("rehydrations", "Evicted or recovered sessions rebuilt from the store on touch."),
+		Evictions:        c("evictions", "Sessions evicted from memory under MaxLiveSessions."),
+		TTLExpirations:   c("ttl_expirations", "Idle sessions the TTL sweep snapshotted and closed."),
+
+		JournalRetries:    c("journal_retries", "Backed-off re-attempts of transient store faults."),
+		SnapshotFailures:  c("snapshot_failures", "Snapshot or compaction writes that failed after retries."),
+		Quarantines:       c("quarantines", "Sessions degraded to memory-only service after store failures."),
+		QuarantineProbes:  c("quarantine_probes", "Store re-probes of quarantined sessions."),
+		QuarantineHeals:   c("quarantine_heals", "Quarantined sessions returned to durable service."),
+		QueueRejections:   c("queue_rejections", "Change batches refused at MaxPending (429)."),
+		BacklogRejections: c("backlog_rejections", "Solves shed at MaxBacklog (503)."),
+
+		ClusterLeaseAcquired: c("cluster_lease_acquired", "Session-ownership leases acquired."),
+		ClusterLeaseRenewals: c("cluster_lease_renewals", "Session-ownership leases renewed."),
+		ClusterNotOwner:      c("cluster_not_owner", "Session lookups refused because another node holds the lease."),
+		ClusterFenced:        c("cluster_fenced", "Sessions fenced after a definitive ownership loss."),
+		ClusterPeekHits:      c("cluster_peek_hits", "Local solve-cache misses answered from the fleet cache."),
+		ClusterPeekMisses:    c("cluster_peek_misses", "Fleet-cache lookups that found nothing."),
+		ClusterPeekStores:    c("cluster_peek_stores", "Proven results published to the fleet cache."),
+	}
+}
+
+// MetricsSnapshot is a plain-value copy of Metrics plus the four
+// point-in-time gauges, in /v1/metrics order. newMetrics documents each
+// counter.
 type MetricsSnapshot struct {
 	SessionsLive     int   `json:"sessions_live"`
 	SessionsCreated  int64 `json:"sessions_created"`
@@ -288,7 +273,7 @@ type MetricsSnapshot struct {
 	CutsReused       int64 `json:"cuts_reused"`
 	CutTightenings   int64 `json:"cut_tightenings"`
 	// InstanceReuses / InstanceRebuilds / InstanceRowsDelta /
-	// ReseparatedRows report the persistent-instance path (see Metrics).
+	// ReseparatedRows report the persistent-instance path.
 	InstanceReuses    int64 `json:"instance_reuses"`
 	InstanceRebuilds  int64 `json:"instance_rebuilds"`
 	InstanceRowsDelta int64 `json:"instance_rows_delta"`
@@ -313,8 +298,7 @@ type MetricsSnapshot struct {
 	QuarantineHeals   int64 `json:"quarantine_heals"`
 	QueueRejections   int64 `json:"queue_rejections"`
 	BacklogRejections int64 `json:"backlog_rejections"`
-	// Cluster-mode counters (all zero when Options.Cluster is unset); see
-	// Metrics for their meaning.
+	// Cluster-mode counters (all zero when Options.Cluster is unset).
 	ClusterLeaseAcquired int64 `json:"cluster_lease_acquired"`
 	ClusterLeaseRenewals int64 `json:"cluster_lease_renewals"`
 	ClusterNotOwner      int64 `json:"cluster_not_owner"`
@@ -367,10 +351,11 @@ type Service struct {
 	// StartDraining in cluster.go).
 	draining atomic.Bool
 
+	// metrics are the service counters and sobs the other instruments
+	// (solve phases, store latency, the HTTP seam), all on opts.Obs.
+	// sobs is never nil after New.
 	metrics Metrics
-	// sobs carries the fine-grained instruments (histograms, traces,
-	// request logging); see obs.go. Never nil after New.
-	sobs *serviceObs
+	sobs    *serviceObs
 }
 
 // incumbent pairs a stored solution with the domain that can clone it.
@@ -419,10 +404,11 @@ func New(opts Options) *Service {
 		opts.Store = store.NewInstrumented(opts.Store, sobs.storeRecorder(store.BackendName(opts.Store)))
 	}
 	s := &Service{
-		opts:  opts,
-		sobs:  sobs,
-		cache: newSolveCache(opts.CacheSize),
-		exec:  newPool(opts.Workers, opts.MaxBacklog),
+		opts:    opts,
+		metrics: newMetrics(opts.Obs),
+		sobs:    sobs,
+		cache:   newSolveCache(opts.CacheSize),
+		exec:    newPool(opts.Workers, opts.MaxBacklog),
 		cnf: core.CNFWith(core.CNFOptions{
 			Fast:     core.FastOptions{Minimal: opts.Fast.Minimal},
 			Preserve: opts.Preserve,
@@ -433,6 +419,14 @@ func New(opts Options) *Service {
 		creating:   make(map[string]bool),
 		incumbents: make(map[string]incumbent),
 	}
+	opts.Obs.GaugeFunc("ec_service_sessions_live", "Sessions held in memory.",
+		func() int64 { live, _ := s.sessionCounts(); return int64(live) })
+	opts.Obs.GaugeFunc("ec_service_cache_entries", "Entries in the solve cache.",
+		func() int64 { return int64(s.cache.len()) })
+	opts.Obs.GaugeFunc("ec_service_sessions_persisted", "Sessions that live only in the store (evicted, expired, or not yet rehydrated).",
+		func() int64 { _, stored := s.sessionCounts(); return int64(stored) })
+	opts.Obs.GaugeFunc("ec_service_sessions_degraded", "Live sessions quarantined to memory-only service.",
+		func() int64 { return int64(len(s.DegradedSessions())) })
 	if s.hasStore() {
 		s.recoverSessions()
 		if opts.ReprobeInterval > 0 {
@@ -931,63 +925,67 @@ func (s *Service) CloseSession(id string) bool {
 
 // Metrics returns a snapshot of the service counters.
 func (s *Service) Metrics() MetricsSnapshot {
-	s.mu.Lock()
-	live := len(s.sessions)
-	stored := len(s.persisted)
-	s.mu.Unlock()
-	degraded := len(s.DegradedSessions())
+	live, stored := s.sessionCounts()
 	m := &s.metrics
 	return MetricsSnapshot{
 		SessionsLive:     live,
-		SessionsCreated:  m.SessionsCreated.Load(),
-		SessionsClosed:   m.SessionsClosed.Load(),
-		ChangesQueued:    m.ChangesQueued.Load(),
-		Batches:          m.Batches.Load(),
-		DuplicateBatches: m.DuplicateBatches.Load(),
-		Solves:           m.Solves.Load(),
-		SolverRuns:       m.SolverRuns.Load(),
-		CacheHits:        m.CacheHits.Load(),
-		CacheMisses:      m.CacheMisses.Load(),
+		SessionsCreated:  m.SessionsCreated.Value(),
+		SessionsClosed:   m.SessionsClosed.Value(),
+		ChangesQueued:    m.ChangesQueued.Value(),
+		Batches:          m.Batches.Value(),
+		DuplicateBatches: m.DuplicateBatches.Value(),
+		Solves:           m.Solves.Value(),
+		SolverRuns:       m.SolverRuns.Value(),
+		CacheHits:        m.CacheHits.Value(),
+		CacheMisses:      m.CacheMisses.Value(),
 		CacheEntries:     s.cache.len(),
-		RelaxFastPaths:   m.RelaxFastPaths.Load(),
-		IncumbentHits:    m.IncumbentHits.Load(),
-		TruncatedSolves:  m.TruncatedSolves.Load(),
-		PresolveFixed:    m.PresolveFixed.Load(),
-		PresolveRows:     m.PresolveRows.Load(),
-		CutsAdded:        m.CutsAdded.Load(),
-		CutsReused:       m.CutsReused.Load(),
-		CutTightenings:   m.CutTightenings.Load(),
+		RelaxFastPaths:   m.RelaxFastPaths.Value(),
+		IncumbentHits:    m.IncumbentHits.Value(),
+		TruncatedSolves:  m.TruncatedSolves.Value(),
+		PresolveFixed:    m.PresolveFixed.Value(),
+		PresolveRows:     m.PresolveRows.Value(),
+		CutsAdded:        m.CutsAdded.Value(),
+		CutsReused:       m.CutsReused.Value(),
+		CutTightenings:   m.CutTightenings.Value(),
 
-		InstanceReuses:    m.InstanceReuses.Load(),
-		InstanceRebuilds:  m.InstanceRebuilds.Load(),
-		InstanceRowsDelta: m.InstanceRowsDelta.Load(),
-		ReseparatedRows:   m.ReseparatedRows.Load(),
+		InstanceReuses:    m.InstanceReuses.Value(),
+		InstanceRebuilds:  m.InstanceRebuilds.Value(),
+		InstanceRowsDelta: m.InstanceRowsDelta.Value(),
+		ReseparatedRows:   m.ReseparatedRows.Value(),
 
 		SessionsPersisted: stored,
-		JournalAppends:    m.JournalAppends.Load(),
-		SnapshotsWritten:  m.SnapshotsWritten.Load(),
-		Recoveries:        m.Recoveries.Load(),
-		Rehydrations:      m.Rehydrations.Load(),
-		Evictions:         m.Evictions.Load(),
-		TTLExpirations:    m.TTLExpirations.Load(),
+		JournalAppends:    m.JournalAppends.Value(),
+		SnapshotsWritten:  m.SnapshotsWritten.Value(),
+		Recoveries:        m.Recoveries.Value(),
+		Rehydrations:      m.Rehydrations.Value(),
+		Evictions:         m.Evictions.Value(),
+		TTLExpirations:    m.TTLExpirations.Value(),
 
-		SessionsDegraded:  degraded,
-		JournalRetries:    m.JournalRetries.Load(),
-		SnapshotFailures:  m.SnapshotFailures.Load(),
-		Quarantines:       m.Quarantines.Load(),
-		QuarantineProbes:  m.QuarantineProbes.Load(),
-		QuarantineHeals:   m.QuarantineHeals.Load(),
-		QueueRejections:   m.QueueRejections.Load(),
-		BacklogRejections: m.BacklogRejections.Load(),
+		SessionsDegraded:  len(s.DegradedSessions()),
+		JournalRetries:    m.JournalRetries.Value(),
+		SnapshotFailures:  m.SnapshotFailures.Value(),
+		Quarantines:       m.Quarantines.Value(),
+		QuarantineProbes:  m.QuarantineProbes.Value(),
+		QuarantineHeals:   m.QuarantineHeals.Value(),
+		QueueRejections:   m.QueueRejections.Value(),
+		BacklogRejections: m.BacklogRejections.Value(),
 
-		ClusterLeaseAcquired: m.ClusterLeaseAcquired.Load(),
-		ClusterLeaseRenewals: m.ClusterLeaseRenewals.Load(),
-		ClusterNotOwner:      m.ClusterNotOwner.Load(),
-		ClusterFenced:        m.ClusterFenced.Load(),
-		ClusterPeekHits:      m.ClusterPeekHits.Load(),
-		ClusterPeekMisses:    m.ClusterPeekMisses.Load(),
-		ClusterPeekStores:    m.ClusterPeekStores.Load(),
+		ClusterLeaseAcquired: m.ClusterLeaseAcquired.Value(),
+		ClusterLeaseRenewals: m.ClusterLeaseRenewals.Value(),
+		ClusterNotOwner:      m.ClusterNotOwner.Value(),
+		ClusterFenced:        m.ClusterFenced.Value(),
+		ClusterPeekHits:      m.ClusterPeekHits.Value(),
+		ClusterPeekMisses:    m.ClusterPeekMisses.Value(),
+		ClusterPeekStores:    m.ClusterPeekStores.Value(),
 	}
+}
+
+// sessionCounts returns the sessions held in memory and those that
+// live only in the store.
+func (s *Service) sessionCounts() (live, stored int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions), len(s.persisted)
 }
 
 // Close drops all sessions and stops the executor. In-flight solves
@@ -1064,9 +1062,6 @@ func (s *Service) cachedSolve(ctx context.Context, key string, clone func(any) a
 		s.metrics.CacheHits.Add(1)
 	} else {
 		s.metrics.CacheMisses.Add(1)
-		if err == nil {
-			s.metrics.SolverRuns.Add(1)
-		}
 	}
 	return val, hit, err
 }
