@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -557,19 +558,29 @@ func (se *cnfSubEncoding) WarmStart(sol any) (ilp.Solution, bool) {
 	return warmFromOriginal(se.e, p, se.varOf), true
 }
 
+// FingerprintProblem and FingerprintSolution append every varint into one
+// buffer and write it once: the bytes are those of a domain.WriteInts per
+// value, without a hash-writer call per literal.
 func (d *cnfDomain) FingerprintProblem(w io.Writer, p any) {
 	f, err := d.problem(p)
 	if err != nil {
 		domain.WriteString(w, "cnf-bad-problem")
 		return
 	}
-	domain.WriteInts(w, int64(f.NumVars), int64(len(f.Clauses)))
+	size := 2 * binary.MaxVarintLen64
 	for _, cl := range f.Clauses {
-		domain.WriteInts(w, int64(len(cl)))
+		size += 1 + 2*len(cl)
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.AppendVarint(buf, int64(f.NumVars))
+	buf = binary.AppendVarint(buf, int64(len(f.Clauses)))
+	for _, cl := range f.Clauses {
+		buf = binary.AppendVarint(buf, int64(len(cl)))
 		for _, l := range cl {
-			domain.WriteInts(w, int64(l))
+			buf = binary.AppendVarint(buf, int64(l))
 		}
 	}
+	w.Write(buf) //nolint:errcheck // hash writers never fail
 }
 
 func (d *cnfDomain) FingerprintSolution(w io.Writer, s any) {
@@ -579,10 +590,12 @@ func (d *cnfDomain) FingerprintSolution(w io.Writer, s any) {
 		return
 	}
 	n := a.NumVars()
-	domain.WriteInts(w, int64(n))
+	buf := make([]byte, 0, binary.MaxVarintLen64+n)
+	buf = binary.AppendVarint(buf, int64(n))
 	for v := 1; v <= n; v++ {
-		domain.WriteInts(w, int64(a.Get(v)))
+		buf = binary.AppendVarint(buf, int64(a.Get(v)))
 	}
+	w.Write(buf) //nolint:errcheck // hash writers never fail
 }
 
 // Conformance supplies the shared domain test fixture.

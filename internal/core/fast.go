@@ -212,18 +212,20 @@ func litValue(l cnf.Lit) cnf.Value {
 //
 // varOf maps compact index (1-based) back to the original variable.
 func SubFormula(fPrime *cnf.Formula, p cnf.Assignment, simp SimplifyResult) (sub *cnf.Formula, varOf []int) {
-	compact := make(map[int]int, len(simp.Vars))
+	compact := make([]int, fPrime.NumVars+1) // 0 = outside V
 	varOf = make([]int, len(simp.Vars)+1)
 	for i, v := range simp.Vars {
 		compact[v] = i + 1
 		varOf[i+1] = v
 	}
 	sub = cnf.New(len(simp.Vars))
+	sub.Clauses = make([]cnf.Clause, 0, len(simp.Marked))
+	var cl cnf.Clause // AddClause copies, so one buffer serves every clause
 	for _, ci := range simp.Marked {
-		var cl cnf.Clause
+		cl = cl[:0]
 		for _, l := range fPrime.Clauses[ci] {
-			cv, ok := compact[l.Var()]
-			if !ok {
+			cv := compact[l.Var()]
+			if cv == 0 {
 				continue // outside V: stays false/DC under p
 			}
 			nl := cnf.Lit(cv)

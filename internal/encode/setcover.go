@@ -13,6 +13,7 @@ package encode
 
 import (
 	"fmt"
+	"strconv"
 
 	"ilpec/internal/cnf"
 	"ilpec/internal/ilp"
@@ -68,31 +69,59 @@ func New(f *cnf.Formula) *Encoding {
 		CoverRow:       make([]int, len(f.Clauses)),
 		ConsistencyRow: make([]int, n+1),
 	}
-	for v := 1; v <= n; v++ {
-		m.AddVar(fmt.Sprintf("p%d", v), 1)
+	cols, coverNames, consNames := names(n, len(f.Clauses))
+	for _, name := range cols {
+		m.AddVar(name, 1)
 	}
-	for v := 1; v <= n; v++ {
-		m.AddVar(fmt.Sprintf("n%d", v), 1)
-	}
+	// AddRow copies its coefficients, so one buffer serves every row;
+	// seen[col] == ci+1 marks the columns clause ci already selected.
+	var coefs []ilp.Coef
+	seen := make([]int, 2*n)
 	for ci, cl := range f.Clauses {
-		coefs := make([]ilp.Coef, 0, len(cl))
-		seen := make(map[int]bool, len(cl))
+		coefs = coefs[:0]
 		for _, l := range cl {
 			col := e.LitCol(l)
-			if !seen[col] {
-				seen[col] = true
+			if seen[col] != ci+1 {
+				seen[col] = ci + 1
 				coefs = append(coefs, ilp.Coef{Var: col, Val: 1})
 			}
 		}
-		e.CoverRow[ci] = m.AddRow(fmt.Sprintf("c%d", ci), coefs, ilp.GE, 1)
+		e.CoverRow[ci] = m.AddRow(coverNames[ci], coefs, ilp.GE, 1)
 	}
 	for v := 1; v <= n; v++ {
-		e.ConsistencyRow[v] = m.AddRow(
-			fmt.Sprintf("v%d", v),
-			[]ilp.Coef{{Var: e.PosCol(v), Val: 1}, {Var: e.NegCol(v), Val: 1}},
-			ilp.LE, 1)
+		coefs = append(coefs[:0], ilp.Coef{Var: e.PosCol(v), Val: 1}, ilp.Coef{Var: e.NegCol(v), Val: 1})
+		e.ConsistencyRow[v] = m.AddRow(consNames[v-1], coefs, ilp.LE, 1)
 	}
 	return e
+}
+
+// names returns the encoding's names for n variables and m clauses: the
+// columns p1..pn n1..nn, the cover rows c0..c(m-1) and the consistency
+// rows v1..vn. They are the strings fmt.Sprintf("%c%d") gives, cut from
+// one string instead of allocated one by one.
+func names(n, m int) (cols, cover, consistency []string) {
+	total := 3*n + m
+	buf := make([]byte, 0, total*(1+len(strconv.Itoa(max(n, m)))))
+	ends := make([]int, 0, total)
+	add := func(prefix byte, from, to int) {
+		for i := from; i < to; i++ {
+			buf = append(buf, prefix)
+			buf = strconv.AppendInt(buf, int64(i), 10)
+			ends = append(ends, len(buf))
+		}
+	}
+	add('p', 1, n+1)
+	add('n', 1, n+1)
+	add('c', 0, m)
+	add('v', 1, n+1)
+	all := string(buf)
+	out := make([]string, total)
+	start := 0
+	for k, end := range ends {
+		out[k] = all[start:end]
+		start = end
+	}
+	return out[:2*n], out[2*n : 2*n+m], out[2*n+m:]
 }
 
 // Decode converts an ILP solution into a partial truth assignment:

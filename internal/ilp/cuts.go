@@ -1,9 +1,10 @@
 package ilp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -118,16 +119,32 @@ func (p *CutPool) separate(m *Model) (cuts []Cut, added, reused, freshRows int) 
 		}
 	}
 
-	for _, r := range m.rows {
-		for _, le := range leForms(r) {
-			if !knapsackShaped(le.coefs, le.rhs) {
+	for i := range m.rows {
+		r := &m.rows[i]
+		// The ≤-forms of r: r itself for LE, its negation for GE, both for
+		// EQ. A form whose rhs is not positive is never knapsack-shaped,
+		// so it is skipped before the row is copied and sorted — on a
+		// covering encoding that is every Σ x ≥ 1 row.
+		for _, negate := range [2]bool{false, true} {
+			rhs := r.RHS
+			if negate {
+				rhs = -rhs
+			}
+			if r.Sense == LE && negate || r.Sense == GE && !negate || rhs <= solveEps {
 				continue
 			}
-			collectConflictEdges(le.coefs, le.rhs, edges)
-			h := hashRowLE(le.coefs, le.rhs)
+			coefs := canonCoefs(r.Coefs, negate)
+			if !knapsackShaped(coefs, rhs) {
+				continue
+			}
+			collectConflictEdges(coefs, rhs, edges)
+			h := hashRowLE(coefs, rhs)
 			entry, ok := p.rows[h]
 			if !ok {
-				entry = &poolEntry{cuts: coverCutsForRow(le.coefs, le.rhs)}
+				entry = &poolEntry{}
+				if !unitRow(coefs, rhs) {
+					entry.cuts = coverCutsForRow(coefs, rhs)
+				}
 				p.rows[h] = entry
 				freshRows++
 			}
@@ -155,7 +172,7 @@ func (p *CutPool) separate(m *Model) (cuts []Cut, added, reused, freshRows int) 
 		}
 	}
 	p.cliques = kept
-	if len(edges) > 0 {
+	if maxDegreeAtLeast2(edges, m.NumVars()) {
 		adj := buildAdjacency(edges)
 		cliqueKeys := make(map[string]bool, len(p.cliques))
 		for _, cl := range p.cliques {
@@ -167,7 +184,7 @@ func (p *CutPool) separate(m *Model) (cuts []Cut, added, reused, freshRows int) 
 				newEdges = append(newEdges, e)
 			}
 		}
-		sort.Slice(newEdges, func(a, b int) bool { return newEdges[a] < newEdges[b] })
+		slices.Sort(newEdges)
 		for _, e := range newEdges {
 			if len(p.cliques) >= maxCliques {
 				break
@@ -191,29 +208,6 @@ func (p *CutPool) separate(m *Model) (cuts []Cut, added, reused, freshRows int) 
 
 // ---- row normalization ---------------------------------------------------
 
-// leForm is one ≤-normalized row with canonical (sorted, merged, nonzero)
-// coefficients.
-type leForm struct {
-	coefs []Coef
-	rhs   float64
-}
-
-// leForms returns the ≤-normalized forms of a row: one for LE, the
-// negation for GE, and both directions for EQ.
-func leForms(r Row) []leForm {
-	switch r.Sense {
-	case LE:
-		return []leForm{{canonCoefs(r.Coefs, false), r.RHS}}
-	case GE:
-		return []leForm{{canonCoefs(r.Coefs, true), -r.RHS}}
-	default:
-		return []leForm{
-			{canonCoefs(r.Coefs, false), r.RHS},
-			{canonCoefs(r.Coefs, true), -r.RHS},
-		}
-	}
-}
-
 // canonCoefs copies coefs (negated when asked) and canonicalizes them.
 func canonCoefs(coefs []Coef, negate bool) []Coef {
 	out := make([]Coef, 0, len(coefs))
@@ -231,7 +225,7 @@ func canonCoefs(coefs []Coef, negate bool) []Coef {
 // and drops zero coefficients, in place. Shared by cut separation and
 // the presolve row compaction.
 func canonicalizeCoefs(out []Coef) []Coef {
-	sort.Slice(out, func(a, b int) bool { return out[a].Var < out[b].Var })
+	sortByVar(out)
 	merged := out[:0]
 	for _, c := range out {
 		if len(merged) > 0 && merged[len(merged)-1].Var == c.Var {
@@ -265,6 +259,64 @@ func knapsackShaped(coefs []Coef, rhs float64) bool {
 	return true
 }
 
+// unitRow reports whether a knapsack ≤-form is Σ x ≤ b with unit
+// coefficients and an integral b. Every minimal cover of such a row has
+// b+1 members and lifts to all of the row's variables with rhs b — the
+// row itself, which liftCover rejects — so cover separation finds
+// nothing on it and is skipped.
+func unitRow(coefs []Coef, rhs float64) bool {
+	if rhs != math.Trunc(rhs) {
+		return false
+	}
+	for _, c := range coefs {
+		if c.Val != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// ---- sorting -------------------------------------------------------------
+
+// byVar orders coefficients by variable, byValDesc by descending value.
+func byVar(a, b Coef) int     { return cmp.Compare(a.Var, b.Var) }
+func byValDesc(a, b Coef) int { return cmp.Compare(b.Val, a.Val) }
+
+// sortFunc sorts s unless it is already sorted. slices.SortFunc leaves a
+// sorted input as it is (ties included) and otherwise permutes exactly as
+// sort.Slice with the same order does, so skipping changes no result.
+func sortFunc[E any](s []E, cmp func(a, b E) int) {
+	if !slices.IsSortedFunc(s, cmp) {
+		slices.SortFunc(s, cmp)
+	}
+}
+
+// sortByVar sorts coefficients by variable, permuting exactly as
+// slices.SortFunc(s, byVar): it sorts up to 12 elements by the same
+// stable insertion sort, without a comparison call per step.
+func sortByVar(s []Coef) {
+	if len(s) > 12 {
+		sortFunc(s, byVar)
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j].Var < s[j-1].Var; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+// sortedDesc returns coefs by descending value: coefs itself when it is
+// already in that order, else a sorted copy.
+func sortedDesc(coefs []Coef) []Coef {
+	if slices.IsSortedFunc(coefs, byValDesc) {
+		return coefs
+	}
+	desc := slices.Clone(coefs)
+	slices.SortFunc(desc, byValDesc)
+	return desc
+}
+
 // ---- cover cuts ----------------------------------------------------------
 
 // coverCutsForRow separates up to two lifted minimal-cover cuts from one
@@ -279,8 +331,7 @@ func coverCutsForRow(coefs []Coef, rhs float64) []Cut {
 	if total <= rhs+solveEps {
 		return nil // the row admits the all-ones point: no cover exists
 	}
-	desc := append([]Coef(nil), coefs...)
-	sort.Slice(desc, func(a, b int) bool { return desc[a].Val > desc[b].Val })
+	desc := sortedDesc(coefs)
 
 	var cuts []Cut
 	var keyBuf []byte
@@ -334,7 +385,7 @@ func greedyCover(desc []Coef, rhs float64, fromLargest bool) []Coef {
 		return nil
 	}
 	// Minimalize: drop smallest-coefficient members that are not needed.
-	sort.Slice(cover, func(a, b int) bool { return cover[a].Val < cover[b].Val })
+	sortFunc(cover, func(a, b Coef) int { return cmp.Compare(a.Val, b.Val) })
 	out := cover[:0]
 	for i, c := range cover {
 		if sum-c.Val > rhs+solveEps {
@@ -376,7 +427,7 @@ func liftCover(coefs []Coef, rhs float64, cover []Coef) (Cut, bool) {
 	if allUnit && len(vars) == len(coefs) && cutRHS >= rhs-solveEps {
 		return Cut{}, false // identical to (or weaker than) the source row
 	}
-	sort.Ints(vars)
+	slices.Sort(vars)
 	return Cut{Coefs: unitCoefs(vars), RHS: cutRHS}, true
 }
 
@@ -386,8 +437,7 @@ func liftCover(coefs []Coef, rhs float64, cover []Coef) (Cut, bool) {
 // whose coefficients cannot both be 1 (a_i + a_j > rhs) to the conflict
 // edge set, capped at maxEdgesPerRow.
 func collectConflictEdges(coefs []Coef, rhs float64, edges map[uint64]struct{}) {
-	desc := append([]Coef(nil), coefs...)
-	sort.Slice(desc, func(a, b int) bool { return desc[a].Val > desc[b].Val })
+	desc := sortedDesc(coefs)
 	n := 0
 	for i := 0; i < len(desc) && n < maxEdgesPerRow; i++ {
 		for j := i + 1; j < len(desc) && n < maxEdgesPerRow; j++ {
@@ -407,6 +457,25 @@ func packEdge(u, v int) uint64 {
 	return uint64(u)<<32 | uint64(uint32(v))
 }
 
+// maxDegreeAtLeast2 reports whether some vertex of the conflict graph over
+// n variables has two or more edges. A clique of three or more needs one,
+// so without it clique growing finds nothing and is skipped.
+func maxDegreeAtLeast2(edges map[uint64]struct{}, n int) bool {
+	if len(edges) < 2 {
+		return false
+	}
+	touched := make([]bool, n)
+	for e := range edges {
+		for _, u := range [2]int{int(e >> 32), int(uint32(e))} {
+			if touched[u] {
+				return true
+			}
+			touched[u] = true
+		}
+	}
+	return false
+}
+
 // buildAdjacency expands the edge set into sorted adjacency lists.
 func buildAdjacency(edges map[uint64]struct{}) map[int][]int {
 	adj := make(map[int][]int)
@@ -416,7 +485,7 @@ func buildAdjacency(edges map[uint64]struct{}) map[int][]int {
 		adj[v] = append(adj[v], u)
 	}
 	for u := range adj {
-		sort.Ints(adj[u])
+		slices.Sort(adj[u])
 	}
 	return adj
 }
@@ -444,7 +513,7 @@ func growClique(u, v int, adj map[int][]int, edges map[uint64]struct{}) []int {
 			members = append(members, w)
 		}
 	}
-	sort.Ints(members)
+	slices.Sort(members)
 	return members
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -54,7 +53,7 @@ func renderTerms(m *Model, coefs []Coef) string {
 		return "0"
 	}
 	cp := append([]Coef(nil), coefs...)
-	sort.Slice(cp, func(a, b int) bool { return cp[a].Var < cp[b].Var })
+	sortFunc(cp, byVar)
 	var b strings.Builder
 	for k, c := range cp {
 		v := c.Val

@@ -12,7 +12,6 @@ package ilp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -63,6 +62,10 @@ type Model struct {
 	names []string
 	obj   []float64
 	rows  []Row
+	// coefArena is spare capacity AddRow copies coefficients into, so
+	// rows share a few allocations instead of one each. Every row's slice
+	// is capped at its length: appending to one never writes into another.
+	coefArena []Coef
 }
 
 // NewModel returns an empty model with the given objective direction.
@@ -130,8 +133,12 @@ func (m *Model) AddRow(name string, coefs []Coef, sense Sense, rhs float64) int 
 	for _, c := range coefs {
 		m.checkVar(c.Var)
 	}
-	cp := make([]Coef, len(coefs))
-	copy(cp, coefs)
+	if cap(m.coefArena)-len(m.coefArena) < len(coefs) {
+		m.coefArena = make([]Coef, 0, max(len(coefs), min(2*cap(m.coefArena), 1024), 64))
+	}
+	start := len(m.coefArena)
+	m.coefArena = append(m.coefArena, coefs...)
+	cp := m.coefArena[start:len(m.coefArena):len(m.coefArena)]
 	m.rows = append(m.rows, Row{Name: name, Coefs: cp, Sense: sense, RHS: rhs})
 	return len(m.rows) - 1
 }
@@ -307,7 +314,7 @@ func (m *Model) RowString(i int) string {
 		fmt.Fprintf(&b, "%s: ", r.Name)
 	}
 	coefs := append([]Coef(nil), r.Coefs...)
-	sort.Slice(coefs, func(a, c int) bool { return coefs[a].Var < coefs[c].Var })
+	sortFunc(coefs, byVar)
 	for k, c := range coefs {
 		v := c.Val
 		switch {

@@ -1,9 +1,10 @@
 package ilp
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,12 +183,11 @@ func solveParallel(m *Model, opts Options) Result {
 		res.CutTightenings += pr.CutTightenings
 		return res
 	}
-	sort.Slice(unfixed, func(a, b int) bool {
-		sa, sb := probe.splitScore(int(unfixed[a])), probe.splitScore(int(unfixed[b]))
-		if sa != sb {
-			return sa > sb
+	slices.SortFunc(unfixed, func(a, b int32) int {
+		if c := cmp.Compare(probe.splitScore(int(b)), probe.splitScore(int(a))); c != 0 {
+			return c
 		}
-		return unfixed[a] < unfixed[b]
+		return cmp.Compare(a, b)
 	})
 	k := 1
 	for 1<<k < 4*workers && k < len(unfixed) && k < 10 {
@@ -212,12 +212,11 @@ func solveParallel(m *Model, opts Options) Result {
 	for i := range masks {
 		masks[i] = uint32(i)
 	}
-	sort.Slice(masks, func(a, b int) bool {
-		da, db := bits.OnesCount32(masks[a]^pref), bits.OnesCount32(masks[b]^pref)
-		if da != db {
-			return da < db
+	slices.SortFunc(masks, func(a, b uint32) int {
+		if c := cmp.Compare(bits.OnesCount32(a^pref), bits.OnesCount32(b^pref)); c != 0 {
+			return c
 		}
-		return masks[a] < masks[b]
+		return cmp.Compare(a, b)
 	})
 	tasks := make(chan uint32, len(masks))
 	for _, mask := range masks {

@@ -27,6 +27,8 @@ package ilp
 // status and objective are preserved exactly (differential-tested against
 // raw solves in presolve_test.go and the domain conformance suite).
 
+import "math"
+
 const presolveEps = 1e-9
 
 // presolved is the outcome of presolveModel: the reduced model plus the
@@ -56,21 +58,47 @@ type preRow struct {
 	rhs   float64
 	name  string
 	live  bool
+	// stale marks a row for the next Pass 1: every row at the start, then
+	// a row that holds a variable fixed since its last reduce or whose rhs
+	// Pass 2 tightened. Reducing any other row changes nothing, so the
+	// worklist makes exactly the fixings of a sweep over every row.
+	stale bool
+	// canon is set once the coefficients are canonical (sorted, merged,
+	// nonzero). The first reduce canonicalizes; later reduces only drop
+	// fixed variables, which keeps the row canonical.
+	canon bool
+	// sig hashes sense and coefficients for Pass 2; every reduce
+	// refreshes it.
+	sig uint64
 }
 
-// fix records x_j = v. It reports false when j is already fixed to the
-// opposite value, which proves the model infeasible.
-func (p *presolved) fix(j int, v int8) bool {
-	switch p.fixedVals[j] {
+// presolveWork is the fixpoint's working state around the outcome it
+// fills in.
+type presolveWork struct {
+	*presolved
+	rows []preRow
+	// The rows variable j occurs in are occ[occStart[j]:occStart[j+1]]:
+	// fixing x_j marks exactly those rows stale.
+	occStart, occ []int32
+}
+
+// fix records x_j = v and marks the rows holding x_j stale. It reports
+// false when j is already fixed to the opposite value, which proves the
+// model infeasible.
+func (w *presolveWork) fix(j int, v int8) bool {
+	switch w.fixedVals[j] {
 	case -1:
-		p.fixedVals[j] = v
-		p.nFixed++
-		p.dirty = true
+		w.fixedVals[j] = v
+		w.nFixed++
+		w.dirty = true
+		for _, ri := range w.occ[w.occStart[j]:w.occStart[j+1]] {
+			w.rows[ri].stale = true
+		}
 		return true
 	case v:
 		return true
 	default:
-		p.infeasible = true
+		w.infeasible = true
 		return false
 	}
 }
@@ -95,48 +123,56 @@ func presolveModel(m *Model) *presolved {
 		}
 		obj[j] = c
 	}
-	rows := make([]preRow, len(m.rows))
-	for i, r := range m.rows {
-		rows[i] = preRow{
-			coefs: append([]Coef(nil), r.Coefs...),
-			sense: r.Sense,
-			rhs:   r.RHS,
-			name:  r.Name,
-			live:  true,
-		}
-	}
+	w := newPresolveWork(p, m)
+	rows := w.rows
 
 	canFix0 := make([]bool, n)
 	canFix1 := make([]bool, n)
-	sigs := make(map[string]int, len(rows))
-	var sigBuf []byte
+	// Pass 2's open-addressing table: row index + 1 per slot, 0 = empty,
+	// at most half full; slots are picked by the top bits of sig.
+	shift := 63
+	for 1<<(64-shift) < 2*len(rows) {
+		shift--
+	}
+	sigs := make([]int32, 1<<(64-shift))
+	mask := uint64(len(sigs) - 1)
 
 	for {
 		p.dirty = false
-		// Pass 1: per-row compaction, redundancy, and slack forcing.
+		// Pass 1: per-row compaction, redundancy, and slack forcing on the
+		// stale rows.
 		for ri := range rows {
 			r := &rows[ri]
-			if !r.live {
+			if !r.live || !r.stale {
 				continue
 			}
-			if !p.reduceRow(r) {
+			r.stale = false
+			if !w.reduceRow(r) {
 				return p
 			}
 		}
 		if p.infeasible {
 			return p
 		}
-		// Pass 2: duplicate-row elimination on the compacted rows.
+		// Pass 2: duplicate-row elimination on the compacted rows. A row
+		// is compared exactly against the earlier rows of its hash; the
+		// first row with a signature keeps it.
 		clear(sigs)
 		for ri := range rows {
 			r := &rows[ri]
 			if !r.live {
 				continue
 			}
-			sigBuf = rowSignature(sigBuf[:0], r)
-			prev, ok := sigs[string(sigBuf)]
-			if !ok {
-				sigs[string(sigBuf)] = ri
+			slot := (r.sig * 0x9e3779b97f4a7c15) >> shift
+			prev := int32(-1)
+			for ; sigs[slot] != 0; slot = (slot + 1) & mask {
+				if k := sigs[slot] - 1; rows[k].sig == r.sig && sameSignature(&rows[k], r) {
+					prev = k
+					break
+				}
+			}
+			if prev < 0 {
+				sigs[slot] = int32(ri) + 1
 				continue
 			}
 			keep := &rows[prev]
@@ -144,10 +180,12 @@ func presolveModel(m *Model) *presolved {
 			case LE:
 				if r.rhs < keep.rhs {
 					keep.rhs = r.rhs
+					keep.stale = true
 				}
 			case GE:
 				if r.rhs > keep.rhs {
 					keep.rhs = r.rhs
+					keep.stale = true
 				}
 			case EQ:
 				if diff := r.rhs - keep.rhs; diff > presolveEps || diff < -presolveEps {
@@ -193,9 +231,9 @@ func presolveModel(m *Model) *presolved {
 		}
 		for j := 0; j < n; j++ {
 			if canFix0[j] {
-				p.fix(j, 0)
+				w.fix(j, 0)
 			} else if canFix1[j] {
-				p.fix(j, 1)
+				w.fix(j, 1)
 			}
 		}
 		if !p.dirty {
@@ -203,20 +241,50 @@ func presolveModel(m *Model) *presolved {
 		}
 	}
 
-	p.buildReduced(m, rows)
+	p.buildReduced(m, rows, len(w.occ))
 	return p
 }
 
-// reduceRow compacts r against the current fixings, merges duplicate
-// coefficients, drops the row when redundant, and applies slack forcing.
-// It reports false when the model is proven infeasible.
-func (p *presolved) reduceRow(r *preRow) bool {
-	// Substitute fixed variables into the right-hand side, then merge
-	// per-variable coefficients (sorted order also canonicalizes the row
-	// for duplicate elimination).
+// newPresolveWork copies m's rows, all stale, into one backing array and
+// indexes the rows of every variable.
+func newPresolveWork(p *presolved, m *Model) *presolveWork {
+	n := m.NumVars()
+	w := &presolveWork{presolved: p, rows: make([]preRow, len(m.rows)), occStart: make([]int32, n+1)}
+	nnz := 0
+	for _, r := range m.rows {
+		nnz += len(r.Coefs)
+		for _, c := range r.Coefs {
+			w.occStart[c.Var+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		w.occStart[j+1] += w.occStart[j]
+	}
+	w.occ = make([]int32, nnz)
+	fill := append([]int32(nil), w.occStart[:n]...)
+	coefs := make([]Coef, nnz)
+	for i, r := range m.rows {
+		for _, c := range r.Coefs {
+			w.occ[fill[c.Var]] = int32(i)
+			fill[c.Var]++
+		}
+		k := copy(coefs, r.Coefs)
+		w.rows[i] = preRow{coefs: coefs[:k:k], sense: r.Sense, rhs: r.RHS, name: r.Name, live: true, stale: true}
+		coefs = coefs[k:]
+	}
+	return w
+}
+
+// reduceRow compacts r against the current fixings, drops the row when
+// redundant, and applies slack forcing. It reports false when the model
+// is proven infeasible.
+func (w *presolveWork) reduceRow(r *preRow) bool {
+	// Substitute fixed variables into the right-hand side. The first
+	// reduce then merges per-variable coefficients (sorted order also
+	// canonicalizes the row for duplicate elimination).
 	out := r.coefs[:0]
 	for _, c := range r.coefs {
-		if v := p.fixedVals[c.Var]; v != -1 {
+		if v := w.fixedVals[c.Var]; v != -1 {
 			if v == 1 {
 				r.rhs -= c.Val
 			}
@@ -224,8 +292,12 @@ func (p *presolved) reduceRow(r *preRow) bool {
 		}
 		out = append(out, c)
 	}
-	out = canonicalizeCoefs(out)
+	if !r.canon {
+		out = canonicalizeCoefs(out)
+		r.canon = true
+	}
 	r.coefs = out
+	r.sig = signatureHash(r.sense, out)
 
 	minAct, maxAct := 0.0, 0.0
 	for _, c := range out {
@@ -238,11 +310,11 @@ func (p *presolved) reduceRow(r *preRow) bool {
 	ub := r.sense == LE || r.sense == EQ
 	lb := r.sense == GE || r.sense == EQ
 	if ub && minAct > r.rhs+presolveEps {
-		p.infeasible = true
+		w.infeasible = true
 		return false
 	}
 	if lb && maxAct < r.rhs-presolveEps {
-		p.infeasible = true
+		w.infeasible = true
 		return false
 	}
 	redundant := true
@@ -254,32 +326,33 @@ func (p *presolved) reduceRow(r *preRow) bool {
 	}
 	if redundant {
 		r.live = false
-		p.nRowsDropped++
-		p.dirty = true
+		w.nRowsDropped++
+		w.dirty = true
 		return true
 	}
 	// Slack forcing. Fixings made mid-scan leave minAct/maxAct stale in
 	// the conservative direction (conditions only get harder to trigger),
-	// so no forcing here is ever unsound; the next pass recomputes.
+	// so no forcing here is ever unsound; each fixing marks this row
+	// stale, so the next pass recomputes.
 	for _, c := range out {
 		if ub {
 			if c.Val > 0 && minAct+c.Val > r.rhs+presolveEps {
-				if !p.fix(c.Var, 0) {
+				if !w.fix(c.Var, 0) {
 					return false
 				}
 			} else if c.Val < 0 && minAct-c.Val > r.rhs+presolveEps {
-				if !p.fix(c.Var, 1) {
+				if !w.fix(c.Var, 1) {
 					return false
 				}
 			}
 		}
-		if lb && p.fixedVals[c.Var] == -1 {
+		if lb && w.fixedVals[c.Var] == -1 {
 			if c.Val > 0 && maxAct-c.Val < r.rhs-presolveEps {
-				if !p.fix(c.Var, 1) {
+				if !w.fix(c.Var, 1) {
 					return false
 				}
 			} else if c.Val < 0 && maxAct+c.Val < r.rhs-presolveEps {
-				if !p.fix(c.Var, 0) {
+				if !w.fix(c.Var, 0) {
 					return false
 				}
 			}
@@ -288,25 +361,43 @@ func (p *presolved) reduceRow(r *preRow) bool {
 	return true
 }
 
-// rowSignature appends a canonical byte encoding of the row's sense and
-// coefficient vector (not the right-hand side) to buf. Rows compare equal
-// exactly when their residual constraints differ only in rhs.
-func rowSignature(buf []byte, r *preRow) []byte {
-	buf = append(buf, byte(r.sense))
-	for _, c := range r.coefs {
-		buf = appendUvarint(buf, uint64(c.Var))
-		buf = appendFloatBits(buf, c.Val)
+// signatureHash hashes a row's sense and coefficient vector (not the
+// right-hand side): rows whose residual constraints differ only in rhs
+// hash equal. sameSignature settles collisions.
+func signatureHash(sense Sense, coefs []Coef) uint64 {
+	h := uint64(14695981039346656037) ^ uint64(sense)
+	for _, c := range coefs {
+		h = (h ^ uint64(c.Var)) * 1099511628211
+		h = (h ^ math.Float64bits(c.Val)) * 1099511628211
 	}
-	return buf
+	return h
+}
+
+// sameSignature reports whether two rows have the same sense and the same
+// coefficient vector, bit for bit.
+func sameSignature(a, b *preRow) bool {
+	if a.sense != b.sense || len(a.coefs) != len(b.coefs) {
+		return false
+	}
+	for i, c := range a.coefs {
+		d := b.coefs[i]
+		if c.Var != d.Var || math.Float64bits(c.Val) != math.Float64bits(d.Val) {
+			return false
+		}
+	}
+	return true
 }
 
 // buildReduced emits the reduced model and the variable maps. The
 // fixpoint loop exits only after a pass with no changes, so every live
-// row is already compacted against the final fixings.
-func (p *presolved) buildReduced(m *Model, rows []preRow) {
+// row is already compacted against the final fixings. nnz bounds the
+// live rows' coefficients, which share one backing array.
+func (p *presolved) buildReduced(m *Model, rows []preRow, nnz int) {
 	n := m.NumVars()
 	p.toReduced = make([]int, n)
-	red := NewModel(m.Maximize)
+	kept := n - p.nFixed
+	p.toOrig = make([]int, 0, kept)
+	red := &Model{Maximize: m.Maximize, names: make([]string, 0, kept), obj: make([]float64, 0, kept)}
 	for j := 0; j < n; j++ {
 		if p.fixedVals[j] != -1 {
 			p.toReduced[j] = -1
@@ -316,16 +407,24 @@ func (p *presolved) buildReduced(m *Model, rows []preRow) {
 		p.toOrig = append(p.toOrig, j)
 		red.AddVar(m.names[j], m.obj[j])
 	}
+	live := 0
+	for ri := range rows {
+		if rows[ri].live {
+			live++
+		}
+	}
+	red.rows = make([]Row, 0, live)
+	coefs := make([]Coef, 0, nnz)
 	for ri := range rows {
 		r := &rows[ri]
 		if !r.live {
 			continue
 		}
-		coefs := make([]Coef, len(r.coefs))
-		for i, c := range r.coefs {
-			coefs[i] = Coef{p.toReduced[c.Var], c.Val}
+		start := len(coefs)
+		for _, c := range r.coefs {
+			coefs = append(coefs, Coef{p.toReduced[c.Var], c.Val})
 		}
-		red.AddRow(r.name, coefs, r.sense, r.rhs)
+		red.rows = append(red.rows, Row{Name: r.name, Coefs: coefs[start:len(coefs):len(coefs)], Sense: r.sense, RHS: r.rhs})
 	}
 	p.reduced = red
 }

@@ -130,6 +130,9 @@ type Router struct {
 	// the mux with. Never nil after New.
 	reg  *obs.Registry
 	http *obs.HTTP
+	// proxyLatency caches each node's ec_router_proxy_seconds histogram
+	// (node id -> *obs.Histogram), registered on its first attempt.
+	proxyLatency sync.Map
 
 	stop chan struct{}
 	done chan struct{}
@@ -777,8 +780,7 @@ func (rt *Router) try(r *http.Request, node, addr string, body []byte) *http.Res
 	sp.SetAttr("node", node)
 	start := time.Now()
 	resp, err := rt.opts.HTTP.Do(req)
-	rt.reg.Histogram("ec_router_proxy_seconds", "Upstream proxy attempt latency by node (seconds).",
-		obs.Label{Key: "node", Value: node}).Observe(time.Since(start))
+	rt.proxyHistogram(node).Observe(time.Since(start))
 	if err != nil {
 		sp.SetAttr("error", "transport")
 		sp.End()
@@ -790,6 +792,17 @@ func (rt *Router) try(r *http.Request, node, addr string, body []byte) *http.Res
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
 	sp.End()
 	return resp
+}
+
+// proxyHistogram returns node's proxy-attempt latency histogram.
+func (rt *Router) proxyHistogram(node string) *obs.Histogram {
+	if h, ok := rt.proxyLatency.Load(node); ok {
+		return h.(*obs.Histogram)
+	}
+	h := rt.reg.Histogram("ec_router_proxy_seconds", "Upstream proxy attempt latency by node (seconds).",
+		obs.Label{Key: "node", Value: node})
+	rt.proxyLatency.Store(node, h)
+	return h
 }
 
 // relay writes one upstream response downstream verbatim (status, JSON

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ilpec/internal/cnf"
+	"ilpec/internal/core"
 	"ilpec/internal/domain"
 	"ilpec/internal/gen"
 	"ilpec/internal/ilp"
@@ -225,5 +226,45 @@ func TestCacheJoinerRetriesOwnerCancelled(t *testing.T) {
 	}
 	if got.val == nil {
 		t.Fatal("joiner retry returned no value")
+	}
+}
+
+// TestFastECFailedSubSolveCounted: a fast-EC pass whose sub-solve ran but
+// failed (cancelled mid-kernel, so the rung reports limits) still counts
+// as a kernel run — truncated_solves, and with it the presolve counters
+// and solve-phase histograms, see every rung that ran.
+func TestFastECFailedSubSolveCounted(t *testing.T) {
+	svc := newTestService(t, Options{})
+	s, err := svc.CreateSession(hardFormula(t), SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	// A clause false under the current solution forces a re-solve.
+	a := s.Solution()
+	var lits []int
+	for v := 1; v <= a.NumVars() && len(lits) < 3; v++ {
+		switch a.Get(v) {
+		case cnf.True:
+			lits = append(lits, -v)
+		case cnf.False:
+			lits = append(lits, v)
+		}
+	}
+	if _, err := s.Queue(core.NewClause(lits...)); err != nil {
+		t.Fatal(err)
+	}
+	base := svc.Metrics()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.SolveContext(ctx); err == nil {
+		t.Fatal("a cancelled fast-EC solve succeeded")
+	}
+	m := svc.Metrics()
+	t.Logf("runs %d->%d truncated %d->%d fixed %d->%d", base.SolverRuns, m.SolverRuns, base.TruncatedSolves, m.TruncatedSolves, base.PresolveFixed, m.PresolveFixed)
+	if m.TruncatedSolves != base.TruncatedSolves+1 {
+		t.Fatalf("truncated_solves %d, want %d", m.TruncatedSolves, base.TruncatedSolves+1)
 	}
 }

@@ -2,10 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -156,5 +158,55 @@ func TestTraceInjectionEndToEnd(t *testing.T) {
 	}
 	if len(ring.Traces) == 0 {
 		t.Fatal("trace ring empty after traffic with a zero threshold")
+	}
+}
+
+// TestStoreRecorderSeries: the store recorder registers an op's latency
+// histogram on the op's first use and its error counter on its first
+// error, and counts concurrent operations exactly.
+func TestStoreRecorderSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	rec := (&serviceObs{reg: reg}).storeRecorder("memory")
+	series := func() map[string]int64 {
+		out := make(map[string]int64)
+		for _, s := range reg.Snapshot() {
+			key := s.Name + "/" + s.Labels["op"]
+			if s.Hist != nil {
+				out[key] = s.Hist.Count
+			} else {
+				out[key] = *s.Value
+			}
+		}
+		return out
+	}
+	rec("append", time.Millisecond, nil)
+	if got := series(); len(got) != 1 || got["ec_store_op_seconds/append"] != 1 {
+		t.Fatalf("after one append: %v", got)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				rec("append", time.Microsecond, nil)
+				rec("load", time.Microsecond, errors.New("boom"))
+			}
+		}()
+	}
+	wg.Wait()
+	got := series()
+	want := map[string]int64{
+		"ec_store_op_seconds/append":    201,
+		"ec_store_op_seconds/load":      200,
+		"ec_store_op_errors_total/load": 200,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("series %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d", k, got[k], v)
+		}
 	}
 }

@@ -567,11 +567,13 @@ func (s *Session) solveBatchLocked(ctx context.Context, batch []any, start time.
 		key = s.taskKeyLocked("fast", changed, prev)
 		compute = func() (any, bool, error) {
 			next, stats, ferr := domain.Fast(s.dom, changed, prev, fopts)
-			if ferr != nil {
-				return nil, false, wrapCtxErr(ctx, ferr)
-			}
+			// A failed pass still ran the kernel (a truncated or
+			// infeasible rung): count it like a successful one.
 			if !stats.AlreadyValid {
 				s.svc.noteSolverResult(ctx, stats.ILP)
+			}
+			if ferr != nil {
+				return nil, false, wrapCtxErr(ctx, ferr)
 			}
 			subVars, subRows = stats.SubSize, stats.SubRows
 			// A fast pass is cache-eligible when no solver ran (the
