@@ -283,8 +283,7 @@ func byVar(a, b Coef) int     { return cmp.Compare(a.Var, b.Var) }
 func byValDesc(a, b Coef) int { return cmp.Compare(b.Val, a.Val) }
 
 // sortFunc sorts s unless it is already sorted. slices.SortFunc leaves a
-// sorted input as it is (ties included) and otherwise permutes exactly as
-// sort.Slice with the same order does, so skipping changes no result.
+// sorted input as it is, ties included, so the skip changes no result.
 func sortFunc[E any](s []E, cmp func(a, b E) int) {
 	if !slices.IsSortedFunc(s, cmp) {
 		slices.SortFunc(s, cmp)
