@@ -204,7 +204,7 @@ type FastStats struct {
 	// and no solver ran.
 	AlreadyValid bool
 	// SubSize is the number of re-decided units of the final region (on
-	// an error, of the last region solved).
+	// an error, of the last region solved; 0 when no solver ran).
 	SubSize int
 	// SubRows is the row count of the final sub-model (0 when no solver
 	// ran).

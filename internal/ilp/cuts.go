@@ -225,7 +225,7 @@ func canonCoefs(coefs []Coef, negate bool) []Coef {
 // and drops zero coefficients, in place. Shared by cut separation and
 // the presolve row compaction.
 func canonicalizeCoefs(out []Coef) []Coef {
-	sortByVar(out)
+	sortFunc(out, byVar)
 	merged := out[:0]
 	for _, c := range out {
 		if len(merged) > 0 && merged[len(merged)-1].Var == c.Var {
@@ -287,21 +287,6 @@ func byValDesc(a, b Coef) int { return cmp.Compare(b.Val, a.Val) }
 func sortFunc[E any](s []E, cmp func(a, b E) int) {
 	if !slices.IsSortedFunc(s, cmp) {
 		slices.SortFunc(s, cmp)
-	}
-}
-
-// sortByVar sorts coefficients by variable, permuting exactly as
-// slices.SortFunc(s, byVar): it sorts up to 12 elements by the same
-// stable insertion sort, without a comparison call per step.
-func sortByVar(s []Coef) {
-	if len(s) > 12 {
-		sortFunc(s, byVar)
-		return
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Var < s[j-1].Var; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 

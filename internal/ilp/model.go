@@ -62,10 +62,6 @@ type Model struct {
 	names []string
 	obj   []float64
 	rows  []Row
-	// coefArena is spare capacity AddRow copies coefficients into, so
-	// rows share a few allocations instead of one each. Every row's slice
-	// is capped at its length: appending to one never writes into another.
-	coefArena []Coef
 }
 
 // NewModel returns an empty model with the given objective direction.
@@ -133,12 +129,8 @@ func (m *Model) AddRow(name string, coefs []Coef, sense Sense, rhs float64) int 
 	for _, c := range coefs {
 		m.checkVar(c.Var)
 	}
-	if cap(m.coefArena)-len(m.coefArena) < len(coefs) {
-		m.coefArena = make([]Coef, 0, max(len(coefs), min(2*cap(m.coefArena), 1024), 64))
-	}
-	start := len(m.coefArena)
-	m.coefArena = append(m.coefArena, coefs...)
-	cp := m.coefArena[start:len(m.coefArena):len(m.coefArena)]
+	cp := make([]Coef, len(coefs))
+	copy(cp, coefs)
 	m.rows = append(m.rows, Row{Name: name, Coefs: cp, Sense: sense, RHS: rhs})
 	return len(m.rows) - 1
 }

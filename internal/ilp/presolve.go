@@ -128,14 +128,11 @@ func presolveModel(m *Model) *presolved {
 
 	canFix0 := make([]bool, n)
 	canFix1 := make([]bool, n)
-	// Pass 2's open-addressing table: row index + 1 per slot, 0 = empty,
-	// at most half full; slots are picked by the top bits of sig.
-	shift := 63
-	for 1<<(64-shift) < 2*len(rows) {
-		shift--
-	}
-	sigs := make([]int32, 1<<(64-shift))
-	mask := uint64(len(sigs) - 1)
+	// Pass 2 keys the first row of each hash in sigs. A row whose hash
+	// another signature already holds goes to collided, which stays empty
+	// but for a 64-bit hash collision.
+	sigs := make(map[uint64]int32, len(rows))
+	var collided []int32
 
 	for {
 		p.dirty = false
@@ -158,22 +155,29 @@ func presolveModel(m *Model) *presolved {
 		// is compared exactly against the earlier rows of its hash; the
 		// first row with a signature keeps it.
 		clear(sigs)
+		collided = collided[:0]
 		for ri := range rows {
 			r := &rows[ri]
 			if !r.live {
 				continue
 			}
-			slot := (r.sig * 0x9e3779b97f4a7c15) >> shift
-			prev := int32(-1)
-			for ; sigs[slot] != 0; slot = (slot + 1) & mask {
-				if k := sigs[slot] - 1; rows[k].sig == r.sig && sameSignature(&rows[k], r) {
-					prev = k
-					break
-				}
-			}
-			if prev < 0 {
-				sigs[slot] = int32(ri) + 1
+			prev, ok := sigs[r.sig]
+			if !ok {
+				sigs[r.sig] = int32(ri)
 				continue
+			}
+			if !sameSignature(&rows[prev], r) {
+				prev = -1
+				for _, k := range collided {
+					if rows[k].sig == r.sig && sameSignature(&rows[k], r) {
+						prev = k
+						break
+					}
+				}
+				if prev < 0 {
+					collided = append(collided, int32(ri))
+					continue
+				}
 			}
 			keep := &rows[prev]
 			switch r.sense {
@@ -241,7 +245,7 @@ func presolveModel(m *Model) *presolved {
 		}
 	}
 
-	p.buildReduced(m, rows, len(w.occ))
+	p.buildReduced(m, rows)
 	return p
 }
 
@@ -390,14 +394,11 @@ func sameSignature(a, b *preRow) bool {
 
 // buildReduced emits the reduced model and the variable maps. The
 // fixpoint loop exits only after a pass with no changes, so every live
-// row is already compacted against the final fixings. nnz bounds the
-// live rows' coefficients, which share one backing array.
-func (p *presolved) buildReduced(m *Model, rows []preRow, nnz int) {
+// row is already compacted against the final fixings.
+func (p *presolved) buildReduced(m *Model, rows []preRow) {
 	n := m.NumVars()
 	p.toReduced = make([]int, n)
-	kept := n - p.nFixed
-	p.toOrig = make([]int, 0, kept)
-	red := &Model{Maximize: m.Maximize, names: make([]string, 0, kept), obj: make([]float64, 0, kept)}
+	red := NewModel(m.Maximize)
 	for j := 0; j < n; j++ {
 		if p.fixedVals[j] != -1 {
 			p.toReduced[j] = -1
@@ -407,24 +408,18 @@ func (p *presolved) buildReduced(m *Model, rows []preRow, nnz int) {
 		p.toOrig = append(p.toOrig, j)
 		red.AddVar(m.names[j], m.obj[j])
 	}
-	live := 0
-	for ri := range rows {
-		if rows[ri].live {
-			live++
-		}
-	}
-	red.rows = make([]Row, 0, live)
-	coefs := make([]Coef, 0, nnz)
+	// AddRow copies its coefficients, so one buffer serves every row.
+	var coefs []Coef
 	for ri := range rows {
 		r := &rows[ri]
 		if !r.live {
 			continue
 		}
-		start := len(coefs)
+		coefs = coefs[:0]
 		for _, c := range r.coefs {
 			coefs = append(coefs, Coef{p.toReduced[c.Var], c.Val})
 		}
-		red.rows = append(red.rows, Row{Name: r.name, Coefs: coefs[start:len(coefs):len(coefs)], Sense: r.sense, RHS: r.rhs})
+		red.AddRow(r.name, coefs, r.sense, r.rhs)
 	}
 	p.reduced = red
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"ilpec/internal/domain"
 	"ilpec/internal/gen"
 	"ilpec/internal/ilp"
+	"ilpec/internal/obs"
 )
 
 // hardFormula is an instance whose exact solve takes well over a single
@@ -239,35 +241,69 @@ func (kernelCancelled) Err() error { return context.Canceled }
 // TestFastECFailedSubSolveCounted: a fast-EC pass whose sub-solve ran but
 // failed (cancelled in the kernel, so the rung reports limits) still
 // counts as a kernel run — truncated_solves, and with it the presolve
-// counters and solve-phase histograms, see every rung that ran.
+// counters and solve-phase histograms, see every rung that ran. A pass
+// that fails before any rung ran counts nothing.
 func TestFastECFailedSubSolveCounted(t *testing.T) {
-	svc := newTestService(t, Options{})
-	s, err := svc.CreateSession(hardFormula(t), SessionConfig{})
-	if err != nil {
-		t.Fatal(err)
+	cnfDom, ok := domain.Get("cnf")
+	if !ok {
+		t.Fatal("cnf domain not registered")
 	}
-	if _, err := s.Solve(); err != nil {
-		t.Fatal(err)
+	doms := domain.NewRegistry()
+	doms.Register(regionFails{cnfDom})
+	for _, tc := range []struct {
+		name   string
+		domain string
+		ctx    context.Context
+		runs   int64 // kernel runs the failed pass makes
+	}{
+		{"cancelled in the kernel", "cnf", kernelCancelled{context.Background()}, 1},
+		{"failed before any rung", regionFails{}.Name(), context.Background(), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			svc := newTestService(t, Options{Domains: doms, Obs: reg})
+			s, err := svc.CreateDomainSession(tc.domain, hardFormula(t), SessionConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Solve(); err != nil {
+				t.Fatal(err)
+			}
+			// A clause false under the current solution forces a re-solve.
+			a := s.Solution()
+			var lits []int
+			for v := 1; v <= a.NumVars() && len(lits) < 3; v++ {
+				switch a.Get(v) {
+				case cnf.True:
+					lits = append(lits, -v)
+				case cnf.False:
+					lits = append(lits, v)
+				}
+			}
+			if _, err := s.Queue(core.NewClause(lits...)); err != nil {
+				t.Fatal(err)
+			}
+			search := reg.Histogram("ec_solve_phase_seconds", "", obs.Label{Key: "phase", Value: "search"})
+			base, baseSearch := svc.Metrics(), search.Snapshot().Count
+			if _, err := s.SolveContext(tc.ctx); err == nil {
+				t.Fatal("the failing fast-EC solve succeeded")
+			}
+			if m := svc.Metrics(); m.TruncatedSolves != base.TruncatedSolves+tc.runs {
+				t.Errorf("truncated_solves %d, want %d", m.TruncatedSolves, base.TruncatedSolves+tc.runs)
+			}
+			if got := search.Snapshot().Count; got != baseSearch+tc.runs {
+				t.Errorf("search phase samples %d, want %d", got, baseSearch+tc.runs)
+			}
+		})
 	}
-	// A clause false under the current solution forces a re-solve.
-	a := s.Solution()
-	var lits []int
-	for v := 1; v <= a.NumVars() && len(lits) < 3; v++ {
-		switch a.Get(v) {
-		case cnf.True:
-			lits = append(lits, -v)
-		case cnf.False:
-			lits = append(lits, v)
-		}
-	}
-	if _, err := s.Queue(core.NewClause(lits...)); err != nil {
-		t.Fatal(err)
-	}
-	base := svc.Metrics()
-	if _, err := s.SolveContext(kernelCancelled{context.Background()}); err == nil {
-		t.Fatal("a cancelled fast-EC solve succeeded")
-	}
-	if m := svc.Metrics(); m.TruncatedSolves != base.TruncatedSolves+1 {
-		t.Fatalf("truncated_solves %d, want %d", m.TruncatedSolves, base.TruncatedSolves+1)
-	}
+}
+
+// regionFails is the CNF domain with an AffectedRegion that always
+// errors, so its fast-EC passes fail before any rung runs.
+type regionFails struct{ domain.Domain }
+
+func (regionFails) Name() string { return "cnf-no-region" }
+
+func (regionFails) AffectedRegion(p, prev any) (domain.Region, error) {
+	return nil, errors.New("no region")
 }

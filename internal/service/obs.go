@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ilpec/internal/obs"
@@ -79,38 +78,27 @@ func (so *serviceObs) solverPhases(ctx context.Context, presolve, cuts, search t
 
 // storeRecorder builds the callback store.NewInstrumented feeds with
 // per-operation latencies. backend labels the concrete store. Each op's
-// instruments are resolved on its first use, the latency histogram with
-// it and the error counter on the op's first error, so /metrics lists
-// only series that occurred.
+// latency histogram is resolved on its first use and its error counter on
+// its first error, so /metrics lists only series that occurred.
 func (so *serviceObs) storeRecorder(backend string) func(op string, d time.Duration, err error) {
 	if so == nil || so.reg == nil {
 		return nil
 	}
-	type opStats struct {
-		once    sync.Once
-		latency *obs.Histogram
-		errs    atomic.Pointer[obs.Counter]
-	}
-	var ops sync.Map // op -> *opStats
+	var latency, errs sync.Map // op -> *obs.Histogram, op -> *obs.Counter
 	return func(op string, d time.Duration, err error) {
-		v, ok := ops.Load(op)
+		h, ok := latency.Load(op)
 		if !ok {
-			v, _ = ops.LoadOrStore(op, &opStats{})
+			h, _ = latency.LoadOrStore(op, so.reg.Histogram("ec_store_op_seconds", "Durable-store operation latency (seconds).",
+				obs.Label{Key: "backend", Value: backend}, obs.Label{Key: "op", Value: op}))
 		}
-		st := v.(*opStats)
-		st.once.Do(func() {
-			st.latency = so.reg.Histogram("ec_store_op_seconds", "Durable-store operation latency (seconds).",
-				obs.Label{Key: "backend", Value: backend}, obs.Label{Key: "op", Value: op})
-		})
-		st.latency.Observe(d)
+		h.(*obs.Histogram).Observe(d)
 		if err != nil {
-			c := st.errs.Load()
-			if c == nil {
-				c = so.reg.Counter("ec_store_op_errors_total", "Durable-store operations that returned an error.",
-					obs.Label{Key: "backend", Value: backend}, obs.Label{Key: "op", Value: op})
-				st.errs.Store(c)
+			c, ok := errs.Load(op)
+			if !ok {
+				c, _ = errs.LoadOrStore(op, so.reg.Counter("ec_store_op_errors_total", "Durable-store operations that returned an error.",
+					obs.Label{Key: "backend", Value: backend}, obs.Label{Key: "op", Value: op}))
 			}
-			c.Inc()
+			c.(*obs.Counter).Inc()
 		}
 	}
 }

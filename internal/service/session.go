@@ -567,9 +567,11 @@ func (s *Session) solveBatchLocked(ctx context.Context, batch []any, start time.
 		key = s.taskKeyLocked("fast", changed, prev)
 		compute = func() (any, bool, error) {
 			next, stats, ferr := domain.Fast(s.dom, changed, prev, fopts)
-			// A failed pass still ran the kernel (a truncated or
-			// infeasible rung): count it like a successful one.
-			if !stats.AlreadyValid {
+			// A pass that failed after a rung ran (a truncated or
+			// infeasible sub-solve) counts that kernel run like a
+			// successful one. SubSize is set once a rung's solve returns,
+			// so an error raised before any rung counts nothing.
+			if stats.SubSize > 0 {
 				s.svc.noteSolverResult(ctx, stats.ILP)
 			}
 			if ferr != nil {
