@@ -73,7 +73,8 @@ type solver struct {
 	coverNeg   []int32   // unfixed negative-cost columns per cover row
 	branching  Branching
 
-	neededMark []int64 // epoch-stamped scratch for coverBound
+	neededMark []int64   // epoch-stamped scratch for coverBound
+	rowShare   []float64 // per needed row: min c_j/cov_j over its columns
 	markEpoch  int64
 
 	nodes      int64
@@ -252,6 +253,7 @@ func newSolver(m *Model, opts Options) *solver {
 	}
 	s.coverCnt = make([]int32, len(s.coverRows))
 	s.neededMark = make([]int64, len(s.coverRows))
+	s.rowShare = make([]float64, len(s.coverRows))
 	s.branching = opts.Branching
 	if s.branching == BranchMaxObj && len(s.coverRows) > 0 {
 		// The default rule degenerates on uniform objectives; covering
@@ -687,15 +689,23 @@ func (s *solver) resyncBoundTerms() {
 	s.curObj, s.negFree = cur, neg
 }
 
-// coverBound strengthens the combinatorial bound with a counting argument
-// over the detected covering rows: every still-uncovered row whose unfixed
-// columns all carry non-negative cost requires a paid selection; a single
-// selection covers at most maxCov such rows and costs at least minC, so at
-// least ceil(N/maxCov)·minC of extra cost is unavoidable. (Negative-cost
-// columns are already charged by combBound, so rows they could cover are
-// excluded.) Coverage state comes from the trail-maintained counters; the
-// needed-row marks live in an epoch-stamped scratch buffer, so the bound
-// allocates nothing.
+// coverBound prices the still-uncovered covering rows. A row is needed
+// when no column covers it yet and none of its unfixed columns has
+// negative cost (combBound already charges those), so some non-negative
+// unfixed column must still be paid for it. Two lower bounds on that extra
+// cost are computed and the larger is returned:
+//
+//   - counting: a single selection covers at most maxCov needed rows and
+//     costs at least minC, so ceil(N/maxCov)·minC is unavoidable;
+//   - cost share: a selected column j covering cov_j needed rows can split
+//     its cost evenly over them, so each needed row costs at least
+//     min_{unfixed j ∈ row} c_j/cov_j, and the sum over needed rows is
+//     unavoidable. Unlike the counting term it prices each row by its own
+//     columns, so one cheap column elsewhere does not zero the bound.
+//
+// Coverage state comes from the trail-maintained counters; the needed-row
+// marks and per-row shares live in epoch-stamped scratch buffers, so the
+// bound allocates nothing.
 func (s *solver) coverBound() float64 {
 	if len(s.coverRows) == 0 {
 		return 0
@@ -705,6 +715,7 @@ func (s *solver) coverBound() float64 {
 	for ri := range s.coverRows {
 		if s.coverCnt[ri] == 0 && s.coverNeg[ri] == 0 {
 			s.neededMark[ri] = s.markEpoch
+			s.rowShare[ri] = math.Inf(1)
 			needed++
 		}
 	}
@@ -717,8 +728,9 @@ func (s *solver) coverBound() float64 {
 		if s.fixed[j] != -1 || s.obj[j] < 0 {
 			continue
 		}
+		rows := s.coverOfVar[j]
 		cov := 0
-		for _, ri := range s.coverOfVar[j] {
+		for _, ri := range rows {
 			if s.neededMark[ri] == s.markEpoch {
 				cov++
 			}
@@ -729,8 +741,15 @@ func (s *solver) coverBound() float64 {
 		if cov > maxCov {
 			maxCov = cov
 		}
-		if s.obj[j] < minC {
-			minC = s.obj[j]
+		c := s.obj[j]
+		if c < minC {
+			minC = c
+		}
+		share := c / float64(cov)
+		for _, ri := range rows {
+			if s.neededMark[ri] == s.markEpoch && share < s.rowShare[ri] {
+				s.rowShare[ri] = share
+			}
 		}
 	}
 	if maxCov == 0 {
@@ -738,8 +757,18 @@ func (s *solver) coverBound() float64 {
 		// report an infinite bound so it prunes immediately.
 		return math.Inf(1)
 	}
-	picks := (needed + maxCov - 1) / maxCov
-	return float64(picks) * minC
+	shares := 0.0
+	for ri := range s.coverRows {
+		if s.neededMark[ri] == s.markEpoch {
+			shares += s.rowShare[ri] // +Inf when the row has no unfixed column
+		}
+	}
+	// The shares are non-negative; each carries one division rounding and
+	// the sum at most needed-1 addition roundings, so shrinking by
+	// (needed+2)·2⁻⁵² keeps the float result at or below the exact sum.
+	shares *= 1 - float64(needed+2)*0x1p-52
+	count := float64((needed+maxCov-1)/maxCov) * minC
+	return max(count, shares)
 }
 
 // ensureLP builds the base LP relaxation once per solve. Nodes differ only
