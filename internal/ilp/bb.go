@@ -3,6 +3,7 @@ package ilp
 import (
 	"context"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -72,6 +73,15 @@ type solver struct {
 	coverCnt   []int32   // variables fixed to 1 per cover row
 	coverNeg   []int32   // unfixed negative-cost columns per cover row
 	branching  Branching
+
+	// fusedPick is set when no cover row holds a negative-cost column:
+	// coverBound's needed rows are then exactly the uncovered rows, so its
+	// sweep also yields the greedy branching choice. coverPick is that
+	// choice (-1: no unfixed column covers an uncovered row), valid while
+	// coverPickOK, which bound clears and pickVar consumes.
+	fusedPick   bool
+	coverPick   int
+	coverPickOK bool
 
 	neededMark []int64   // epoch-stamped scratch for coverBound
 	rowShare   []float64 // per needed row: min c_j/cov_j over its columns
@@ -252,6 +262,7 @@ func newSolver(m *Model, opts Options) *solver {
 		s.coverNeg = append(s.coverNeg, neg)
 	}
 	s.coverCnt = make([]int32, len(s.coverRows))
+	s.fusedPick = !slices.ContainsFunc(s.coverNeg, func(n int32) bool { return n > 0 })
 	s.neededMark = make([]int64, len(s.coverRows))
 	s.rowShare = make([]float64, len(s.coverRows))
 	s.branching = opts.Branching
@@ -652,6 +663,7 @@ func (s *solver) propagate() bool {
 // bound returns a lower bound (internal minimization sense) on the best
 // completion of the current partial assignment.
 func (s *solver) bound() float64 {
+	s.coverPickOK = false
 	switch s.opts.Bounding {
 	case LPBound:
 		if b, ok := s.lpBound(); ok {
@@ -719,10 +731,12 @@ func (s *solver) coverBound() float64 {
 			needed++
 		}
 	}
+	pick := s.branching == BranchCoverGreedy && s.fusedPick
 	if needed == 0 {
+		s.coverPick, s.coverPickOK = -1, pick
 		return 0
 	}
-	maxCov := 0
+	maxCov, best := 0, -1
 	minC := math.Inf(1)
 	for j := range s.fixed {
 		if s.fixed[j] != -1 || s.obj[j] < 0 {
@@ -739,7 +753,7 @@ func (s *solver) coverBound() float64 {
 			continue
 		}
 		if cov > maxCov {
-			maxCov = cov
+			maxCov, best = cov, j
 		}
 		c := s.obj[j]
 		if c < minC {
@@ -757,6 +771,7 @@ func (s *solver) coverBound() float64 {
 		// report an infinite bound so it prunes immediately.
 		return math.Inf(1)
 	}
+	s.coverPick, s.coverPickOK = best, pick
 	shares := 0.0
 	for ri := range s.coverRows {
 		if s.neededMark[ri] == s.markEpoch {
@@ -837,7 +852,16 @@ func (s *solver) pickVar() int {
 	case BranchCoverGreedy:
 		// Greedy set-cover choice: the unfixed variable covering the most
 		// still-uncovered covering rows (read off the trail-maintained
-		// counts); falls through to max-objective when every row is covered.
+		// counts; the first such index wins); falls through to
+		// max-objective when every row is covered. coverBound's sweep
+		// already made this choice when coverPickOK.
+		if s.coverPickOK {
+			s.coverPickOK = false
+			if s.coverPick >= 0 {
+				return s.coverPick
+			}
+			return s.pickMaxObj()
+		}
 		best, bestCov := -1, 0
 		for j, v := range s.fixed {
 			if v != -1 {
