@@ -73,6 +73,11 @@ type CutPool struct {
 	rows      map[uint64]*poolEntry
 	cliques   []clique
 	prevEdges map[uint64]struct{}
+	// genCount[g % len] counts the row entries last touched at generation
+	// g. Live entries span the last poolRetainGens generations, so the
+	// extra slot keeps the expiring generation apart from the current one
+	// and eviction sweeps the map only when that slot is non-empty.
+	genCount [poolRetainGens + 1]int
 }
 
 // NewCutPool returns an empty pool.
@@ -149,17 +154,13 @@ func (p *CutPool) separate(m *Model) (cuts []Cut, added, reused, freshRows int) 
 				freshRows++
 			}
 			fresh := entry.gen == 0
-			entry.gen = p.gen
+			p.touch(entry)
 			for _, c := range entry.cuts {
 				emit(c, fresh)
 			}
 		}
 	}
-	for h, entry := range p.rows {
-		if p.gen-entry.gen >= poolRetainGens {
-			delete(p.rows, h)
-		}
-	}
+	p.evictIdle()
 
 	// Cliques: keep the retained ones still fully supported by the
 	// current conflict graph, then grow new ones only from edges that did
@@ -172,19 +173,21 @@ func (p *CutPool) separate(m *Model) (cuts []Cut, added, reused, freshRows int) 
 		}
 	}
 	p.cliques = kept
-	if maxDegreeAtLeast2(edges, m.NumVars()) {
-		adj := buildAdjacency(edges)
-		cliqueKeys := make(map[string]bool, len(p.cliques))
-		for _, cl := range p.cliques {
-			cliqueKeys[cl.key] = true
-		}
-		newEdges := make([]uint64, 0, len(edges))
+	var newEdges []uint64
+	if len(p.cliques) < maxCliques && maxDegreeAtLeast2(edges, m.NumVars()) {
 		for e := range edges {
 			if _, old := p.prevEdges[e]; !old {
 				newEdges = append(newEdges, e)
 			}
 		}
+	}
+	if len(newEdges) > 0 {
 		slices.Sort(newEdges)
+		adj := buildAdjacency(edges)
+		cliqueKeys := make(map[string]bool, len(p.cliques))
+		for _, cl := range p.cliques {
+			cliqueKeys[cl.key] = true
+		}
 		for _, e := range newEdges {
 			if len(p.cliques) >= maxCliques {
 				break
@@ -204,6 +207,33 @@ func (p *CutPool) separate(m *Model) (cuts []Cut, added, reused, freshRows int) 
 	}
 	p.prevEdges = edges
 	return cuts, added, reused, freshRows
+}
+
+// touch marks entry as used by the current generation.
+func (p *CutPool) touch(entry *poolEntry) {
+	const slots = int64(len(p.genCount))
+	if entry.gen != 0 {
+		p.genCount[entry.gen%slots]--
+	}
+	entry.gen = p.gen
+	p.genCount[p.gen%slots]++
+}
+
+// evictIdle drops the entries untouched for poolRetainGens generations.
+// Entries expire one generation at a time, so the map is swept only when
+// the expiring generation still holds entries.
+func (p *CutPool) evictIdle() {
+	const slots = int64(len(p.genCount))
+	old := p.gen - poolRetainGens
+	if old <= 0 || p.genCount[old%slots] == 0 {
+		return
+	}
+	for h, entry := range p.rows {
+		if p.gen-entry.gen >= poolRetainGens {
+			delete(p.rows, h)
+		}
+	}
+	p.genCount[old%slots] = 0
 }
 
 // ---- row normalization ---------------------------------------------------

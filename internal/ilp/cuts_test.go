@@ -3,6 +3,7 @@ package ilp
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -145,6 +146,41 @@ func TestCutPoolRetention(t *testing.T) {
 	}
 	if fresh2 != 1 {
 		t.Fatalf("re-solve re-separated %d rows, want only the changed one", fresh2)
+	}
+}
+
+// TestCutPoolEvictionAge: a row entry is evicted on exactly the call at
+// which it has gone poolRetainGens calls untouched — no earlier, no later —
+// however the separations interleave.
+func TestCutPoolEvictionAge(t *testing.T) {
+	build := func(rhs float64) *Model {
+		m := NewModel(false)
+		for j := 0; j < 6; j++ {
+			m.AddVar("", 1)
+		}
+		m.AddRow("r0", []Coef{{0, 5}, {1, 4}, {2, 3}}, LE, 7)
+		m.AddRow("r1", []Coef{{3, 3}, {4, 3}, {5, 3}}, LE, rhs)
+		return m
+	}
+	rng := rand.New(rand.NewSource(113))
+	pool := NewCutPool()
+	lastUse := map[int]int{} // r1 variant → call that last separated it
+	v := 0
+	for call := 1; call <= 400; call++ {
+		if rng.Intn(10) == 0 {
+			v = rng.Intn(4)
+		}
+		pool.separate(build(float64(3 + v)))
+		lastUse[v] = call
+		want := 1 // r0
+		for _, last := range lastUse {
+			if call-last < poolRetainGens {
+				want++
+			}
+		}
+		if got := len(pool.rows); got != want {
+			t.Fatalf("call %d: pool holds %d row entries, want %d", call, got, want)
+		}
 	}
 }
 
