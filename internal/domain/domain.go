@@ -215,6 +215,10 @@ type FastStats struct {
 	FullResolve bool
 	// ILP carries the final solve statistics.
 	ILP ilp.Result
+	// EscalatedILP holds the solve statistics of each earlier rung, the
+	// ones that proved infeasible and escalated, in order (nil when none
+	// did). Together with ILP they cover every kernel run of the pass.
+	EscalatedILP []ilp.Result
 }
 
 // Domain is one pluggable problem class. Problem, solution, and change

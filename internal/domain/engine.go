@@ -111,6 +111,7 @@ func Fast(d Domain, problem, prev any, opts FastOptions) (any, FastStats, error)
 				region.EscalateToFull()
 			}
 			stats.Escalations++
+			stats.EscalatedILP = append(stats.EscalatedILP, res)
 		default:
 			return nil, stats, fmt.Errorf("domain %s: fast-EC sub-solve hit limits (%s)", d.Name(), res.Status)
 		}

@@ -298,6 +298,67 @@ func TestFastECFailedSubSolveCounted(t *testing.T) {
 	}
 }
 
+// TestFastECEscalatedRungsCounted: a fast-EC pass whose minimal closure
+// is infeasible escalates, and every rung it ran — the infeasible ones as
+// well as the one that answered — adds a search-phase sample and its
+// kernel counters.
+func TestFastECEscalatedRungsCounted(t *testing.T) {
+	f := cnf.FromClauses(
+		[]int{-1, 3, -2}, []int{-4, -2, -1}, []int{5, -2, -3}, []int{2, -5, 3},
+		[]int{-4, -2, 5}, []int{-3, -5, -4}, []int{-4, 2, -3},
+	)
+	changes := []core.Change{core.NewClause(-2, 4), core.NewClause(2, 5)}
+	reg := obs.NewRegistry()
+	solve := ilp.Options{Presolve: true}
+	svc := newTestService(t, Options{Obs: reg, Solve: solve, Fast: core.FastOptions{Minimal: true}})
+	s, err := svc.CreateSession(f, SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	// The same pass run directly says how many rungs ran.
+	fPrime, err := core.Apply(f, changes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minimal := core.CNFWith(core.CNFOptions{Fast: core.FastOptions{Minimal: true}})
+	_, stats, err := domain.Fast(minimal, fPrime, s.Solution(), domain.FastOptions{Solve: solve})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Escalations == 0 {
+		t.Fatal("the pass did not escalate; the test needs an infeasible minimal closure")
+	}
+	rungs := int64(stats.Escalations + 1)
+	var presolveFixed, lastFixed int64
+	for _, res := range append(stats.EscalatedILP, stats.ILP) {
+		presolveFixed += res.PresolveFixed
+		lastFixed = res.PresolveFixed
+	}
+	if presolveFixed == lastFixed {
+		t.Fatal("the escalated rungs fixed nothing in presolve; the counter check would be vacuous")
+	}
+
+	for _, c := range changes {
+		if _, err := s.Queue(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search := reg.Histogram("ec_solve_phase_seconds", "", obs.Label{Key: "phase", Value: "search"})
+	base, baseSearch := svc.Metrics(), search.Snapshot().Count
+	if res, err := s.Solve(); err != nil || res.Status != "fast" {
+		t.Fatalf("re-solve: %+v, %v; want a fast pass", res, err)
+	}
+	if got := search.Snapshot().Count; got != baseSearch+rungs {
+		t.Errorf("search phase samples %d, want %d (one per rung)", got, baseSearch+rungs)
+	}
+	if m := svc.Metrics(); m.PresolveFixed != base.PresolveFixed+presolveFixed {
+		t.Errorf("presolve_fixed +%d, want +%d over every rung", m.PresolveFixed-base.PresolveFixed, presolveFixed)
+	}
+}
+
 // regionFails is the CNF domain with an AffectedRegion that always
 // errors, so its fast-EC passes fail before any rung runs.
 type regionFails struct{ domain.Domain }

@@ -2,9 +2,11 @@ package service
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"time"
 
+	"ilpec/internal/ilp"
 	"ilpec/internal/obs"
 )
 
@@ -46,34 +48,40 @@ func (so *serviceObs) phase(ctx context.Context, name string, d time.Duration) {
 	so.phaseAt(ctx, name, time.Now().Add(-d), d)
 }
 
-func (so *serviceObs) phaseAt(ctx context.Context, name string, start time.Time, d time.Duration) {
+// phaseAt records a phase that started at start and returns its child
+// span (nil when ctx carries no trace).
+func (so *serviceObs) phaseAt(ctx context.Context, name string, start time.Time, d time.Duration) *obs.Span {
 	if so == nil {
-		return
+		return nil
 	}
 	so.phases[name].Observe(d)
-	if sp := obs.SpanFromContext(ctx); sp != nil {
-		sp.Child(name, start, d)
-	}
+	return obs.SpanFromContext(ctx).Child(name, start, d)
 }
 
 // solverPhases lays the kernel's post-hoc phase durations onto the
 // request timeline: the phases ran back to back ending roughly now, so
-// their starts are reconstructed by walking backwards from the end.
-func (so *serviceObs) solverPhases(ctx context.Context, presolve, cuts, search time.Duration) {
+// each span's start is reconstructed backwards from that end. The search
+// span carries the search's node and LP-solve counts and its status, so
+// a slow trace shows how much searching it did, not only how long.
+func (so *serviceObs) solverPhases(ctx context.Context, res ilp.Result) {
 	if so == nil {
 		return
 	}
 	now := time.Now()
-	searchStart := now.Add(-search)
-	cutStart := searchStart.Add(-cuts)
-	preStart := cutStart.Add(-presolve)
-	if presolve > 0 {
-		so.phaseAt(ctx, "presolve", preStart, presolve)
+	searchStart := now.Add(-res.SearchTime)
+	cutStart := searchStart.Add(-res.CutSepTime)
+	preStart := cutStart.Add(-res.PresolveTime)
+	if res.PresolveTime > 0 {
+		so.phaseAt(ctx, "presolve", preStart, res.PresolveTime)
 	}
-	if cuts > 0 {
-		so.phaseAt(ctx, "cut_separation", cutStart, cuts)
+	if res.CutSepTime > 0 {
+		so.phaseAt(ctx, "cut_separation", cutStart, res.CutSepTime)
 	}
-	so.phaseAt(ctx, "search", searchStart, search)
+	if sp := so.phaseAt(ctx, "search", searchStart, res.SearchTime); sp != nil {
+		sp.SetAttr("nodes", strconv.FormatInt(res.Nodes, 10))
+		sp.SetAttr("lp_solves", strconv.FormatInt(res.LPSolves, 10))
+		sp.SetAttr("status", res.Status.String())
+	}
 }
 
 // storeRecorder builds the callback store.NewInstrumented feeds with

@@ -1,16 +1,21 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ilpec/internal/core"
+	"ilpec/internal/domain"
+	"ilpec/internal/ilp"
 	"ilpec/internal/obs"
 )
 
@@ -140,13 +145,25 @@ func TestTraceInjectionEndToEnd(t *testing.T) {
 	if solve == nil {
 		t.Fatalf("trace has no solve child: %+v", body.Trace.Children)
 	}
-	phases := map[string]bool{}
+	phases := map[string]*obs.SpanOut{}
 	for _, c := range solve.Children {
-		phases[c.Name] = true
+		phases[c.Name] = c
 	}
 	for _, want := range []string{"queue_wait", "cache_lookup", "search"} {
-		if !phases[want] {
+		if phases[want] == nil {
 			t.Errorf("solve span missing %q phase; got %v", want, phases)
+		}
+	}
+	// The search span says how the search went: its node and LP-solve
+	// counts and the kernel's status.
+	if search := phases["search"]; search != nil {
+		for _, key := range []string{"nodes", "lp_solves"} {
+			if n, err := strconv.ParseInt(search.Attrs[key], 10, 64); err != nil || n < 0 {
+				t.Errorf("search span attr %s = %q, want a count", key, search.Attrs[key])
+			}
+		}
+		if got := search.Attrs["status"]; got != "OPTIMAL" {
+			t.Errorf("search span attr status = %q, want OPTIMAL", got)
 		}
 	}
 
@@ -158,6 +175,51 @@ func TestTraceInjectionEndToEnd(t *testing.T) {
 	}
 	if len(ring.Traces) == 0 {
 		t.Fatal("trace ring empty after traffic with a zero threshold")
+	}
+}
+
+// TestSearchSpanCounts: on a traced solve the search span's nodes,
+// lp_solves and status attributes are the kernel's own numbers for that
+// solve.
+func TestSearchSpanCounts(t *testing.T) {
+	f := hardFormula(t)
+	_, res, err := domain.Solve(core.CNF(), f, ilp.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes == 0 {
+		t.Fatal("the solve explored no node; pick a harder instance")
+	}
+	svc := newTestService(t, Options{})
+	s, err := svc.CreateSession(f, SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, root := obs.NewTrace(context.Background(), "test")
+	if _, err := s.SolveContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var search *obs.SpanOut
+	var find func(sp *obs.SpanOut)
+	find = func(sp *obs.SpanOut) {
+		for _, c := range sp.Children {
+			if c.Name == "search" {
+				search = c
+			}
+			find(c)
+		}
+	}
+	find(root.Render())
+	if search == nil {
+		t.Fatal("traced solve has no search span")
+	}
+	for key, n := range map[string]int64{"nodes": res.Nodes, "lp_solves": res.LPSolves} {
+		if got := search.Attrs[key]; got != strconv.FormatInt(n, 10) {
+			t.Errorf("search span attr %s = %q, want %d", key, got, n)
+		}
+	}
+	if got := search.Attrs["status"]; got != res.Status.String() {
+		t.Errorf("search span attr status = %q, want %s", got, res.Status)
 	}
 }
 

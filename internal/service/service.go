@@ -1071,7 +1071,7 @@ func (s *Service) cachedSolve(ctx context.Context, key string, clone func(any) a
 // status means a node/time limit or a cancelled request truncated the
 // search.
 func (s *Service) noteSolverResult(ctx context.Context, res ilp.Result) {
-	s.sobs.solverPhases(ctx, res.PresolveTime, res.CutSepTime, res.SearchTime)
+	s.sobs.solverPhases(ctx, res)
 	if res.Status == ilp.Feasible || res.Status == ilp.Unknown {
 		s.metrics.TruncatedSolves.Add(1)
 	}

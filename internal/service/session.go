@@ -567,10 +567,14 @@ func (s *Session) solveBatchLocked(ctx context.Context, batch []any, start time.
 		key = s.taskKeyLocked("fast", changed, prev)
 		compute = func() (any, bool, error) {
 			next, stats, ferr := domain.Fast(s.dom, changed, prev, fopts)
-			// A pass that failed after a rung ran (a truncated or
-			// infeasible sub-solve) counts that kernel run like a
-			// successful one. SubSize is set once a rung's solve returns,
-			// so an error raised before any rung counts nothing.
+			// Every rung that ran counts as a kernel run: the ones that
+			// escalated, and the last one even when the pass failed (a
+			// truncated or infeasible sub-solve). SubSize is set once a
+			// rung's solve returns, so an error raised before any rung
+			// counts nothing.
+			for _, res := range stats.EscalatedILP {
+				s.svc.noteSolverResult(ctx, res)
+			}
 			if stats.SubSize > 0 {
 				s.svc.noteSolverResult(ctx, stats.ILP)
 			}
