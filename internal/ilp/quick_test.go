@@ -157,3 +157,132 @@ func TestOneHotCoverProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the combinatorial bound is a true lower bound at every node,
+// not only the root. Random models with cover structure (one-hot EQ
+// rows, Σx ≥ 1 rows, a side knapsack row) and zero, fractional and
+// negative costs are dived into through assign+propagate; at each node
+// reached, combBound must not exceed the best feasible completion of the
+// node's partial assignment, and Solve must agree with enumeration.
+func TestCombBoundInteriorProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	checked := 0
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 4 + r.Intn(9)
+		m := NewModel(r.Intn(3) == 0)
+		for j := 0; j < n; j++ {
+			var c float64
+			switch r.Intn(5) {
+			case 0:
+				c = 0
+			case 1:
+				c = float64(1+r.Intn(20)) / 7
+			case 2:
+				c = -float64(1+r.Intn(5)) / 3
+			default:
+				c = float64(1 + r.Intn(4))
+			}
+			m.AddVar("", c)
+		}
+		subset := func() []Coef {
+			var coefs []Coef
+			for j := 0; j < n; j++ {
+				if r.Intn(3) == 0 {
+					coefs = append(coefs, Coef{j, 1})
+				}
+			}
+			if len(coefs) == 0 {
+				coefs = append(coefs, Coef{r.Intn(n), 1})
+			}
+			return coefs
+		}
+		for i := r.Intn(3); i > 0; i-- {
+			m.AddRow("", subset(), EQ, 1)
+		}
+		for i := 1 + r.Intn(5); i > 0; i-- {
+			m.AddRow("", subset(), GE, 1)
+		}
+		if r.Intn(2) == 0 {
+			var coefs []Coef
+			for j := 0; j < n; j++ {
+				if r.Intn(2) == 0 {
+					coefs = append(coefs, Coef{j, float64(1 + r.Intn(4))})
+				}
+			}
+			if len(coefs) > 0 {
+				m.AddRow("", coefs, LE, float64(2+r.Intn(6)))
+			}
+		}
+
+		want := Enumerate(m)
+		got := Solve(m, Options{})
+		if got.Status != want.Status ||
+			want.Status == Optimal && math.Abs(got.Objective-want.Objective) > 1e-9 {
+			t.Logf("seed %d: Solve %v %v, enumeration %v %v", seed, got.Status, got.Objective, want.Status, want.Objective)
+			return false
+		}
+
+		s := newSolver(m, Options{})
+		if !s.rootPropagate() {
+			return want.Status == Infeasible
+		}
+		for dive := 0; dive < 4; dive++ {
+			mark := len(s.trail)
+			for {
+				if !boundBelowCompletions(t, m, s, seed) {
+					return false
+				}
+				checked++
+				var unfixed []int
+				for j, v := range s.fixed {
+					if v == -1 {
+						unfixed = append(unfixed, j)
+					}
+				}
+				if len(unfixed) == 0 {
+					break
+				}
+				j := unfixed[r.Intn(len(unfixed))]
+				if !s.assign(j, int8(r.Intn(2))) || !s.propagate() {
+					s.clearQueue()
+					break
+				}
+			}
+			s.undoTo(mark)
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Fatal(err)
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d nodes checked", checked)
+	}
+}
+
+// boundBelowCompletions reports whether s.combBound() is at most the best
+// internal objective over the feasible completions of s's partial
+// assignment (enumerated on m with the fixed variables pinned by rows).
+// A node without a feasible completion admits any bound.
+func boundBelowCompletions(t *testing.T, m *Model, s *solver, seed int64) bool {
+	sub := m.Clone()
+	for j, v := range s.fixed {
+		if v != -1 {
+			sub.AddRow("", []Coef{{j, 1}}, EQ, float64(v))
+		}
+	}
+	best := Enumerate(sub)
+	if best.Status != Optimal {
+		return true
+	}
+	z := best.Objective
+	if m.Maximize {
+		z = -z
+	}
+	if b := s.combBound(); b > z+solveEps {
+		t.Logf("seed %d: combBound %v above the best completion %v at fixed=%v", seed, b, z, s.fixed)
+		return false
+	}
+	return true
+}
