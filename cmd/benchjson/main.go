@@ -11,14 +11,17 @@
 // against a committed baseline: any benchmark whose name matches the
 // -match regular expression (unanchored, as in go test -bench, applied to
 // the name without its "Benchmark" prefix; -match 'Solver|Resolve' gates
-// every SolverX and every XResolve) and whose ns/op regressed by more than
-// -threshold (default 20%) fails the run with exit code 1 — the CI bench
-// job's regression gate for solver wall-clock. Benchmarks present on only
-// one side are reported but never fail the gate.
+// every SolverX and every XResolve) and whose median ns/op rose by more
+// than -threshold (default 20%) AND by more than the observed spread (the
+// larger of the two sides' ns/op IQRs) fails the run with exit code 1 —
+// the CI bench job's regression gate for solver wall-clock. Benchmarks
+// present on only one side are reported but never fail the gate.
 //
 // The GOMAXPROCS suffix (-8 in BenchmarkFoo-8) is stripped so names are
-// stable across runner shapes. Benchmarks that appear multiple times (e.g.
-// -count > 1) keep the best (lowest ns/op) run.
+// stable across runner shapes. A benchmark that appears multiple times
+// (-count N) is summarized by its median run, and the interquartile range
+// of its ns/op samples is recorded beside it, so the spread stays visible
+// instead of being hidden behind the luckiest run.
 package main
 
 import (
@@ -34,10 +37,15 @@ import (
 	"strings"
 )
 
-// Metrics is one benchmark's measurement.
+// Metrics is one benchmark's measurement. With several runs, NsPerOp is
+// the median run's ns/op (the mean of the middle two for an even count),
+// the other fields are that median run's, Samples counts the runs and
+// NsPerOpIQR is the interquartile range of their ns/op.
 type Metrics struct {
 	Iterations  int64    `json:"iterations"`
 	NsPerOp     float64  `json:"ns_per_op"`
+	NsPerOpIQR  float64  `json:"ns_per_op_iqr,omitempty"`
+	Samples     int      `json:"samples,omitempty"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64   `json:"allocs_per_op,omitempty"`
 }
@@ -86,7 +94,7 @@ func main() {
 		}
 		regressions := compareResults(os.Stderr, results, baseline, matchRE, *threshold)
 		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%% vs %s\n",
+			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%% and their spread vs %s\n",
 				regressions, *threshold*100, *compare)
 			os.Exit(1)
 		}
@@ -108,8 +116,10 @@ func loadBaseline(path string) (map[string]Metrics, error) {
 }
 
 // compareResults reports per-benchmark deltas to w and returns how many
-// gated benchmarks (name matching match, present on both sides) regressed
-// past the threshold. One-sided benchmarks are informational.
+// gated benchmarks (name matching match, present on both sides) regressed:
+// their median ns/op rose by more than threshold of the baseline's and by
+// more than the larger of the two sides' IQRs, so a rise the runs' own
+// spread explains does not fail. One-sided benchmarks are informational.
 func compareResults(w io.Writer, results, baseline map[string]Metrics, match *regexp.Regexp, threshold float64) int {
 	names := make([]string, 0, len(results))
 	for name := range results {
@@ -129,16 +139,16 @@ func compareResults(w io.Writer, results, baseline map[string]Metrics, match *re
 		if old.NsPerOp <= 0 {
 			continue
 		}
-		ratio := results[name].NsPerOp / old.NsPerOp
-		switch {
-		case ratio > 1+threshold:
-			fmt.Fprintf(w, "benchjson: REGRESSION %s: %.0f ns/op vs baseline %.0f (%+.1f%%)\n",
-				name, results[name].NsPerOp, old.NsPerOp, (ratio-1)*100)
+		cur := results[name]
+		rise := cur.NsPerOp - old.NsPerOp
+		spread := max(cur.NsPerOpIQR, old.NsPerOpIQR)
+		verdict := "ok"
+		if rise > threshold*old.NsPerOp && rise > spread {
+			verdict = "REGRESSION"
 			regressions++
-		default:
-			fmt.Fprintf(w, "benchjson: ok %s: %.0f ns/op vs baseline %.0f (%+.1f%%)\n",
-				name, results[name].NsPerOp, old.NsPerOp, (ratio-1)*100)
 		}
+		fmt.Fprintf(w, "benchjson: %s %s: %.0f ns/op vs baseline %.0f (%+.1f%%, IQR %.0f)\n",
+			verdict, name, cur.NsPerOp, old.NsPerOp, rise/old.NsPerOp*100, spread)
 	}
 	for name := range baseline {
 		if !match.MatchString(name) {
@@ -154,9 +164,10 @@ func compareResults(w io.Writer, results, baseline map[string]Metrics, match *re
 // parse extracts benchmark results from go test -bench output. A result
 // line is "BenchmarkName[-P] N <value> <unit> [<value> <unit>...]"; custom
 // units (e.g. the solver's nodes/sec) are skipped, so B/op and allocs/op
-// are found wherever they appear.
+// are found wherever they appear. Repeated runs of one benchmark are
+// summarized by summarize.
 func parse(r io.Reader) (map[string]Metrics, error) {
-	results := make(map[string]Metrics)
+	runs := make(map[string][]Metrics)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -204,15 +215,47 @@ func parse(r io.Reader) (map[string]Metrics, error) {
 		if !sawNs {
 			continue
 		}
-		if prev, ok := results[name]; !ok || metrics.NsPerOp < prev.NsPerOp {
-			results[name] = metrics
-		}
+		runs[name] = append(runs[name], metrics)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(results) == 0 {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found in input")
 	}
+	results := make(map[string]Metrics, len(runs))
+	for name, rs := range runs {
+		results[name] = summarize(rs)
+	}
 	return results, nil
+}
+
+// summarize reduces one benchmark's runs to its median run, with the
+// ns/op IQR and the run count when there is more than one run.
+func summarize(runs []Metrics) Metrics {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	sort.SliceStable(runs, func(a, b int) bool { return runs[a].NsPerOp < runs[b].NsPerOp })
+	ns := make([]float64, len(runs))
+	for i, r := range runs {
+		ns[i] = r.NsPerOp
+	}
+	mid := (len(runs) - 1) / 2
+	m := runs[mid]
+	m.NsPerOp = quantile(ns, 0.5)
+	m.NsPerOpIQR = quantile(ns, 0.75) - quantile(ns, 0.25)
+	m.Samples = len(runs)
+	return m
+}
+
+// quantile returns the q-quantile of sorted xs, interpolating linearly
+// between the two nearest ranks.
+func quantile(xs []float64, q float64) float64 {
+	pos := q * float64(len(xs)-1)
+	lo := int(pos)
+	if lo+1 >= len(xs) {
+		return xs[lo]
+	}
+	return xs[lo] + (pos-float64(lo))*(xs[lo+1]-xs[lo])
 }

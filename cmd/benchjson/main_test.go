@@ -47,17 +47,36 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestParseKeepsBestOfRepeats(t *testing.T) {
-	in := `BenchmarkX-8   10   200 ns/op
-BenchmarkX-8   10   100 ns/op
-BenchmarkX-8   10   300 ns/op
+func TestParseMedianAndIQR(t *testing.T) {
+	in := `BenchmarkX-8   10   200 ns/op   20 B/op   2 allocs/op
+BenchmarkX-8   10   100 ns/op   10 B/op   1 allocs/op
+BenchmarkX-8   10   500 ns/op   50 B/op   5 allocs/op
+BenchmarkX-8   10   300 ns/op   30 B/op   3 allocs/op
+BenchmarkX-8   10   400 ns/op   40 B/op   4 allocs/op
+BenchmarkY-8   10   100 ns/op
+BenchmarkY-8   10   400 ns/op
+BenchmarkZ-8   10   700 ns/op
 `
 	results, err := parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := results["X"].NsPerOp; got != 100 {
-		t.Fatalf("kept %v ns/op, want the best run (100)", got)
+	// Five runs: the median run is the 300 ns/op one, and the quartiles
+	// are the 200 and 400 runs.
+	x := results["X"]
+	if x.NsPerOp != 300 || x.NsPerOpIQR != 200 || x.Samples != 5 {
+		t.Fatalf("X = %+v, want median 300, IQR 200 over 5 samples", x)
+	}
+	if x.BytesPerOp == nil || *x.BytesPerOp != 30 || x.AllocsPerOp == nil || *x.AllocsPerOp != 3 {
+		t.Fatalf("X keeps %v B/op, %v allocs/op; want the median run's 30 and 3", x.BytesPerOp, x.AllocsPerOp)
+	}
+	// Two runs: the median is their mean, the IQR half their distance.
+	if y := results["Y"]; y.NsPerOp != 250 || y.NsPerOpIQR != 150 || y.Samples != 2 {
+		t.Fatalf("Y = %+v, want median 250, IQR 150 over 2 samples", y)
+	}
+	// One run: no spread is recorded, and the JSON omits it.
+	if z := results["Z"]; z.NsPerOp != 700 || z.NsPerOpIQR != 0 || z.Samples != 0 {
+		t.Fatalf("Z = %+v, want the single run", z)
 	}
 }
 
@@ -98,6 +117,34 @@ func TestCompareResults(t *testing.T) {
 	// Everything within threshold: gate passes.
 	if n := compareResults(io.Discard, baseline, baseline, regexp.MustCompile(""), 0.20); n != 0 {
 		t.Fatalf("identical runs regressed: %d", n)
+	}
+}
+
+// TestCompareResultsSpread: a rise past the threshold fails only when it
+// also exceeds the observed IQR, the larger of the two sides'.
+func TestCompareResultsSpread(t *testing.T) {
+	baseline := map[string]Metrics{
+		"SolverA": {NsPerOp: 1000},
+		"SolverB": {NsPerOp: 1000},
+		"SolverC": {NsPerOp: 1000, NsPerOpIQR: 600},
+		"SolverD": {NsPerOp: 1000, NsPerOpIQR: 100},
+	}
+	results := map[string]Metrics{
+		"SolverA": {NsPerOp: 1500, NsPerOpIQR: 400}, // +500 > 20% and > IQR 400
+		"SolverB": {NsPerOp: 1500, NsPerOpIQR: 700}, // +500 within this run's IQR
+		"SolverC": {NsPerOp: 1500, NsPerOpIQR: 100}, // +500 within the baseline's IQR
+		"SolverD": {NsPerOp: 1150, NsPerOpIQR: 10},  // +150 > IQR but within 20%
+	}
+	var buf strings.Builder
+	n := compareResults(&buf, results, baseline, regexp.MustCompile("Solver"), 0.20)
+	out := buf.String()
+	if n != 1 || !strings.Contains(out, "REGRESSION SolverA") {
+		t.Fatalf("regressions = %d, want only SolverA\n%s", n, out)
+	}
+	for _, want := range []string{"ok SolverB", "ok SolverC", "ok SolverD"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q:\n%s", want, out)
+		}
 	}
 }
 
