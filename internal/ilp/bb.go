@@ -78,7 +78,7 @@ type solver struct {
 	// coverBound's needed rows are then exactly the uncovered rows, so its
 	// sweep also yields the greedy branching choice. coverPick is that
 	// choice (-1: no unfixed column covers an uncovered row), valid while
-	// coverPickOK, which bound clears and pickVar consumes.
+	// coverPickOK, which bound clears before pricing each node.
 	fusedPick   bool
 	coverPick   int
 	coverPickOK bool
@@ -856,7 +856,6 @@ func (s *solver) pickVar() int {
 		// max-objective when every row is covered. coverBound's sweep
 		// already made this choice when coverPickOK.
 		if s.coverPickOK {
-			s.coverPickOK = false
 			if s.coverPick >= 0 {
 				return s.coverPick
 			}

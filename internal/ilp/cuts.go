@@ -48,6 +48,10 @@ const (
 	maxEdgesPerRow = 256
 	// maxCliques caps the cliques grown per separate() call.
 	maxCliques = 512
+	// genSlots is the size of CutPool's per-generation entry counts: live
+	// entries span the last poolRetainGens generations, and the extra slot
+	// keeps the expiring generation apart from the current one.
+	genSlots = poolRetainGens + 1
 )
 
 // poolEntry holds the cuts separated from one source row.
@@ -73,11 +77,10 @@ type CutPool struct {
 	rows      map[uint64]*poolEntry
 	cliques   []clique
 	prevEdges map[uint64]struct{}
-	// genCount[g % len] counts the row entries last touched at generation
-	// g. Live entries span the last poolRetainGens generations, so the
-	// extra slot keeps the expiring generation apart from the current one
-	// and eviction sweeps the map only when that slot is non-empty.
-	genCount [poolRetainGens + 1]int
+	// genCount[g % genSlots] counts the row entries last touched at
+	// generation g, so eviction sweeps the map only when the expiring
+	// generation's slot is non-empty.
+	genCount [genSlots]int
 }
 
 // NewCutPool returns an empty pool.
@@ -211,21 +214,19 @@ func (p *CutPool) separate(m *Model) (cuts []Cut, added, reused, freshRows int) 
 
 // touch marks entry as used by the current generation.
 func (p *CutPool) touch(entry *poolEntry) {
-	const slots = int64(len(p.genCount))
 	if entry.gen != 0 {
-		p.genCount[entry.gen%slots]--
+		p.genCount[entry.gen%genSlots]--
 	}
 	entry.gen = p.gen
-	p.genCount[p.gen%slots]++
+	p.genCount[p.gen%genSlots]++
 }
 
 // evictIdle drops the entries untouched for poolRetainGens generations.
 // Entries expire one generation at a time, so the map is swept only when
 // the expiring generation still holds entries.
 func (p *CutPool) evictIdle() {
-	const slots = int64(len(p.genCount))
 	old := p.gen - poolRetainGens
-	if old <= 0 || p.genCount[old%slots] == 0 {
+	if old <= 0 || p.genCount[old%genSlots] == 0 {
 		return
 	}
 	for h, entry := range p.rows {
@@ -233,7 +234,7 @@ func (p *CutPool) evictIdle() {
 			delete(p.rows, h)
 		}
 	}
-	p.genCount[old%slots] = 0
+	p.genCount[old%genSlots] = 0
 }
 
 // ---- row normalization ---------------------------------------------------
