@@ -32,6 +32,9 @@ type corpusModel struct {
 	name string
 	m    *ilp.Model
 	warm ilp.Solution
+	// region, for a fast-EC rung, records the region's size, full flag
+	// and the rows digest of its encoding ("" otherwise).
+	region string
 }
 
 // pinDesigns are the CNF session designs of the corpus: the paper
@@ -203,14 +206,30 @@ func domainCorpus(tb testing.TB, name string) []corpusModel {
 	if err != nil {
 		tb.Fatalf("%s: region: %v", name, err)
 	}
-	if region != nil {
+	if region == nil {
+		return out
+	}
+	// Every rung of the region's ladder: the seed region, each Escalate
+	// until it stops growing, then the full-instance fallback.
+	rung := func(label string) {
 		renc, err := region.Encoding()
 		if err != nil {
-			tb.Fatalf("%s: region encoding: %v", name, err)
+			tb.Fatalf("%s %s: region encoding: %v", name, label, err)
 		}
 		ws, _ := renc.WarmStart(sol)
-		out = append(out, corpusModel{name: name + "/fast", m: renc.ILP(), warm: ws})
+		out = append(out, corpusModel{
+			name:   name + label,
+			m:      renc.ILP(),
+			warm:   ws,
+			region: fmt.Sprintf("size=%d full=%v rows=%s", region.Size(), region.Full(), rowsDigest(renc.ILP())),
+		})
 	}
+	rung("/fast")
+	for i := 1; region.Escalate(); i++ {
+		rung(fmt.Sprintf("/fast/esc%d", i))
+	}
+	region.EscalateToFull()
+	rung("/fast/full")
 	return out
 }
 
@@ -262,6 +281,9 @@ func TestKernelReductionPins(t *testing.T) {
 	retained := ilp.NewCutPool()
 	for _, cm := range pinCorpus(t) {
 		fmt.Fprintf(&b, "model %s vars=%d rows=%d\n", cm.name, cm.m.NumVars(), cm.m.NumRows())
+		if cm.region != "" {
+			fmt.Fprintf(&b, "  region %s\n", cm.region)
+		}
 
 		fixed, dropped, reduced, infeasible := ilp.PresolveOutcome(cm.m)
 		var fx strings.Builder

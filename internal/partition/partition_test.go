@@ -145,3 +145,38 @@ func TestGreedyRespectsBounds(t *testing.T) {
 		t.Fatalf("greedy partition invalid: %v (sizes %v)", a, a.BlockSizes(p))
 	}
 }
+
+// TestFastRepartitionEscalationStaysPartial pins the neighbor-ring
+// escalation: path 1-2-3-4 split {1,2,3}|{4}, then a lower bound of 2 per
+// block. The seed region {4} (the underfull block) cannot fill block 2
+// against the frozen rest, one ring grows it to {3,4}, and vertices 1 and
+// 2 never move.
+func TestFastRepartitionEscalationStaysPartial(t *testing.T) {
+	p := NewProblem(4, 2)
+	p.MaxSize = 3
+	p.AddEdge(1, 2, 0)
+	p.AddEdge(2, 3, 0)
+	p.AddEdge(3, 4, 0)
+	prev := Assignment{0, 1, 1, 1, 2}
+	if !prev.Valid(p) {
+		t.Fatal("setup assignment invalid")
+	}
+	changed, err := Domain().ApplyChanges(p, []any{Change{Kind: "set-bounds", Min: 2, Max: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, stats, err := domain.Fast(Domain(), changed, prev, domain.FastOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sol.(Assignment)
+	if !a.Valid(changed.(*Problem)) {
+		t.Fatalf("repartitioned invalid: %v", a)
+	}
+	if stats.SubSize != 2 || stats.Escalations != 1 || stats.FullResolve {
+		t.Fatalf("stats %+v, want region 2 ({3,4} after one neighbor ring)", stats)
+	}
+	if a[1] != prev[1] || a[2] != prev[2] {
+		t.Fatalf("frozen vertices moved: %v from %v", a, prev)
+	}
+}
