@@ -425,15 +425,8 @@ func (d colorDomain) EncodeDelta(prev domain.Encoding, prevProblem any, changes 
 	return out, true
 }
 
-// colorRegion recolors the conflicted vertices with the rest frozen,
-// absorbing neighbor rings on escalation.
-type colorRegion struct {
-	p      *Problem
-	prev   Coloring
-	region map[int]bool
-	full   bool
-}
-
+// AffectedRegion recolors the conflicted, uncolored and out-of-palette
+// vertices with the rest frozen, absorbing neighbor rings on escalation.
 func (d colorDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	cp, err := d.problem(p)
 	if err != nil {
@@ -460,65 +453,21 @@ func (d colorDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	}
 	grown := make(Coloring, cp.G.N+1)
 	copy(grown, col)
-	return &colorRegion{p: cp, prev: grown, region: region}, nil
-}
-
-func (r *colorRegion) Size() int {
-	if r.full {
-		return r.p.G.N
-	}
-	return len(r.region)
-}
-
-func (r *colorRegion) Full() bool { return r.full || len(r.region) >= r.p.G.N }
-
-func (r *colorRegion) Encoding() (domain.Encoding, error) {
-	e := NewEncoding(r.p.G, r.p.K)
-	if !r.Full() {
-		for v := 1; v <= r.p.G.N; v++ {
-			if r.region[v] {
-				continue
+	return &domain.FrozenRegion{
+		Members: region, First: 1, N: cp.G.N, Prev: grown,
+		Encode: func() (domain.Encoding, func(v, c int) (int, bool)) {
+			e := NewEncoding(cp.G, cp.K)
+			return &colorEncoding{e: e}, func(v, c int) (int, bool) {
+				if c < 1 || c > cp.K {
+					return 0, false
+				}
+				return e.XCol(v, c), true
 			}
-			c := r.prev[v]
-			if c < 1 || c > r.p.K {
-				return nil, fmt.Errorf("coloring: frozen vertex %d has no valid color", v)
-			}
-			e.Model.AddRow(fmt.Sprintf("freeze_%d", v),
-				[]ilp.Coef{{Var: e.XCol(v, c), Val: 1}}, ilp.GE, 1)
-		}
-	}
-	return &colorEncoding{e: e}, nil
+		},
+		Grow:      domain.NeighborRing(cp.G.Neighbors),
+		FrozenErr: "coloring: frozen vertex %d has no valid color",
+	}, nil
 }
-
-func (r *colorRegion) Merge(sub any) (any, error) {
-	col, ok := sub.(Coloring)
-	if !ok {
-		return nil, fmt.Errorf("coloring: sub-solution is %T", sub)
-	}
-	return col, nil // the region model decodes the full coloring
-}
-
-func (r *colorRegion) Escalate() bool {
-	if r.Full() {
-		return false
-	}
-	grew := false
-	var members []int
-	for v := range r.region {
-		members = append(members, v)
-	}
-	for _, v := range members {
-		for _, u := range r.p.G.Neighbors(v) {
-			if !r.region[u] {
-				r.region[u] = true
-				grew = true
-			}
-		}
-	}
-	return grew
-}
-
-func (r *colorRegion) EscalateToFull() { r.full = true }
 
 func (d colorDomain) FingerprintProblem(w io.Writer, p any) {
 	cp, err := d.problem(p)

@@ -14,7 +14,7 @@ import (
 //     can be absorbed by a local recolor (the coloring analogue of
 //     2-satisfiability / flip support);
 //   - fast EC: after edge additions, only the conflicted vertices and
-//     their closure are re-colored (colorRegion in domain.go);
+//     their closure are re-colored (AffectedRegion in domain.go);
 //   - preserving EC: re-solve under an objective that maximizes the number
 //     of vertices keeping their color.
 

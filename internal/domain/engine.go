@@ -121,26 +121,39 @@ func Fast(d Domain, problem, prev any, opts FastOptions) (any, FastStats, error)
 // solveEncoding runs one exact solve on a prepared encoding and returns
 // the verified domain solution.
 func solveEncoding(d Domain, problem any, enc Encoding, opts ilp.Options, warm any) (any, ilp.Result, error) {
+	res := ilp.Solve(enc.ILP(), warmOptions(opts, enc, warm))
+	sol, err := verified(d, problem, enc, res)
+	return sol, res, err
+}
+
+// warmOptions returns opts with warm, when non-nil and projectable onto
+// enc, as the branching guide.
+func warmOptions(opts ilp.Options, enc Encoding, warm any) ilp.Options {
 	if warm != nil {
 		if ws, ok := enc.WarmStart(warm); ok {
 			opts.WarmStart = ws
 		}
 	}
-	res := ilp.Solve(enc.ILP(), opts)
+	return opts
+}
+
+// verified turns the answer of a solve of enc into a domain solution
+// checked against problem, or the error its status stands for.
+func verified(d Domain, problem any, enc Encoding, res ilp.Result) (any, error) {
 	switch res.Status {
 	case ilp.Optimal, ilp.Feasible:
 		sol, err := enc.Decode(res.Solution)
 		if err != nil {
-			return nil, res, fmt.Errorf("domain %s: decode: %w", d.Name(), err)
+			return nil, fmt.Errorf("domain %s: decode: %w", d.Name(), err)
 		}
 		if err := d.Verify(problem, sol); err != nil {
-			return nil, res, fmt.Errorf("domain %s: decoded solution invalid (internal error): %w", d.Name(), err)
+			return nil, fmt.Errorf("domain %s: decoded solution invalid (internal error): %w", d.Name(), err)
 		}
-		return sol, res, nil
+		return sol, nil
 	case ilp.Infeasible:
-		return nil, res, fmt.Errorf("domain %s: problem is infeasible", d.Name())
+		return nil, fmt.Errorf("domain %s: problem is infeasible", d.Name())
 	default:
-		return nil, res, fmt.Errorf("domain %s: solve hit limits (%s)", d.Name(), res.Status)
+		return nil, fmt.Errorf("domain %s: solve hit limits (%s)", d.Name(), res.Status)
 	}
 }
 

@@ -92,27 +92,9 @@ func (si *Instance) Sync(base, changed any, batch []any) bool {
 // verified domain solution — the instance-path equivalent of Solve.
 // warm, when non-nil, guides branching toward an existing solution.
 func (si *Instance) Resolve(opts ilp.Options, warm any) (any, ilp.Result, error) {
-	if warm != nil {
-		if ws, ok := si.enc.WarmStart(warm); ok {
-			opts.WarmStart = ws
-		}
-	}
-	res := si.inst.Resolve(opts)
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		sol, err := si.enc.Decode(res.Solution)
-		if err != nil {
-			return nil, res, fmt.Errorf("domain %s: decode: %w", si.d.Name(), err)
-		}
-		if err := si.d.Verify(si.problem, sol); err != nil {
-			return nil, res, fmt.Errorf("domain %s: decoded solution invalid (internal error): %w", si.d.Name(), err)
-		}
-		return sol, res, nil
-	case ilp.Infeasible:
-		return nil, res, fmt.Errorf("domain %s: problem is infeasible", si.d.Name())
-	default:
-		return nil, res, fmt.Errorf("domain %s: solve hit limits (%s)", si.d.Name(), res.Status)
-	}
+	res := si.inst.Resolve(warmOptions(opts, si.enc, warm))
+	sol, err := verified(si.d, si.problem, si.enc, res)
+	return sol, res, err
 }
 
 // problemFP renders a domain problem fingerprint as a comparable string.

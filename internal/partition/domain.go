@@ -403,15 +403,8 @@ func (d partDomain) EnableTerms(enc domain.Encoding, p any, opts domain.EnableOp
 	return nil
 }
 
-// partRegion re-places unbalanced and unplaced vertices with the rest
-// frozen, absorbing netlist neighbors on escalation.
-type partRegion struct {
-	p      *Problem
-	prev   Assignment
-	region map[int]bool
-	full   bool
-}
-
+// AffectedRegion re-places unbalanced and unplaced vertices with the
+// rest frozen, absorbing netlist neighbor rings on escalation.
 func (d partDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	pp, err := d.problem(p)
 	if err != nil {
@@ -443,65 +436,21 @@ func (d partDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	if len(region) == 0 {
 		return nil, nil
 	}
-	return &partRegion{p: pp, prev: grown, region: region}, nil
-}
-
-func (r *partRegion) Size() int {
-	if r.full {
-		return r.p.N
-	}
-	return len(r.region)
-}
-
-func (r *partRegion) Full() bool { return r.full || len(r.region) >= r.p.N }
-
-func (r *partRegion) Encoding() (domain.Encoding, error) {
-	e := NewEncoding(r.p)
-	if !r.Full() {
-		for v := 1; v <= r.p.N; v++ {
-			if r.region[v] {
-				continue
+	return &domain.FrozenRegion{
+		Members: region, First: 1, N: pp.N, Prev: grown,
+		Encode: func() (domain.Encoding, func(v, b int) (int, bool)) {
+			e := NewEncoding(pp)
+			return &partEncoding{e: e}, func(v, b int) (int, bool) {
+				if b < 1 || b > pp.Blocks {
+					return 0, false
+				}
+				return e.XCol(v, b), true
 			}
-			b := r.prev[v]
-			if b < 1 || b > r.p.Blocks {
-				return nil, fmt.Errorf("partition: frozen vertex %d has no block", v)
-			}
-			e.Model.AddRow(fmt.Sprintf("freeze_%d", v),
-				[]ilp.Coef{{Var: e.XCol(v, b), Val: 1}}, ilp.GE, 1)
-		}
-	}
-	return &partEncoding{e: e}, nil
+		},
+		Grow:      domain.NeighborRing(pp.Neighbors),
+		FrozenErr: "partition: frozen vertex %d has no block",
+	}, nil
 }
-
-func (r *partRegion) Merge(sub any) (any, error) {
-	a, ok := sub.(Assignment)
-	if !ok {
-		return nil, fmt.Errorf("partition: sub-solution is %T", sub)
-	}
-	return a, nil // the region model decodes the full assignment
-}
-
-func (r *partRegion) Escalate() bool {
-	if r.Full() {
-		return false
-	}
-	grew := false
-	var members []int
-	for v := range r.region {
-		members = append(members, v)
-	}
-	for _, v := range members {
-		for _, u := range r.p.Neighbors(v) {
-			if !r.region[u] {
-				r.region[u] = true
-				grew = true
-			}
-		}
-	}
-	return grew
-}
-
-func (r *partRegion) EscalateToFull() { r.full = true }
 
 func (d partDomain) FingerprintProblem(w io.Writer, p any) {
 	pp, err := d.problem(p)

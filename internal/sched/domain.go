@@ -423,15 +423,8 @@ func hasDep(p *Problem, from, to int) bool {
 	return false
 }
 
-// schedRegion re-places the disturbed cone with the rest frozen,
+// AffectedRegion re-places the disturbed cone with the rest frozen,
 // absorbing dependency neighborhoods on escalation.
-type schedRegion struct {
-	p      *Problem
-	prev   Schedule
-	region map[int]bool
-	full   bool
-}
-
 func (d schedDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	sp, err := d.problem(p)
 	if err != nil {
@@ -476,60 +469,34 @@ func (d schedDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	if len(region) == 0 {
 		return nil, nil
 	}
-	return &schedRegion{p: sp, prev: grown, region: region}, nil
-}
-
-func (r *schedRegion) Size() int {
-	if r.full {
-		return r.p.NumOps
-	}
-	return len(r.region)
-}
-
-func (r *schedRegion) Full() bool { return r.full || len(r.region) >= r.p.NumOps }
-
-func (r *schedRegion) Encoding() (domain.Encoding, error) {
-	e := NewEncoding(r.p)
-	if !r.Full() {
-		for o := 0; o < r.p.NumOps; o++ {
-			if r.region[o] {
-				continue
+	return &domain.FrozenRegion{
+		Members: region, First: 0, N: sp.NumOps, Prev: grown,
+		Encode: func() (domain.Encoding, func(o, t int) (int, bool)) {
+			e := NewEncoding(sp)
+			return &schedEncoding{e: e}, func(o, t int) (int, bool) {
+				if t < 0 || t >= sp.Steps {
+					return 0, false
+				}
+				return e.XCol(o, t), true
 			}
-			t := r.prev[o]
-			if t < 0 || t >= r.p.Steps {
-				return nil, fmt.Errorf("sched: frozen op %d has no valid step", o)
+		},
+		// One in-order sweep over the dependencies: an op that joins
+		// early in the sweep pulls in its later dependency partners in
+		// the same step, so the region can grow along a chain.
+		Grow: func(region map[int]bool) bool {
+			grew := false
+			for _, dep := range sp.Deps {
+				if region[dep[0]] != region[dep[1]] {
+					region[dep[0]] = true
+					region[dep[1]] = true
+					grew = true
+				}
 			}
-			e.Model.AddRow(fmt.Sprintf("freeze_%d", o),
-				[]ilp.Coef{{Var: e.XCol(o, t), Val: 1}}, ilp.GE, 1)
-		}
-	}
-	return &schedEncoding{e: e}, nil
+			return grew
+		},
+		FrozenErr: "sched: frozen op %d has no valid step",
+	}, nil
 }
-
-func (r *schedRegion) Merge(sub any) (any, error) {
-	sc, ok := sub.(Schedule)
-	if !ok {
-		return nil, fmt.Errorf("sched: sub-solution is %T", sub)
-	}
-	return sc, nil // the region model decodes the full schedule
-}
-
-func (r *schedRegion) Escalate() bool {
-	if r.Full() {
-		return false
-	}
-	grew := false
-	for _, dep := range r.p.Deps {
-		if r.region[dep[0]] != r.region[dep[1]] {
-			r.region[dep[0]] = true
-			r.region[dep[1]] = true
-			grew = true
-		}
-	}
-	return grew
-}
-
-func (r *schedRegion) EscalateToFull() { r.full = true }
 
 func (d schedDomain) FingerprintProblem(w io.Writer, p any) {
 	sp, err := d.problem(p)
