@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"ilpec/internal/cnf"
 	"ilpec/internal/encode"
 	"ilpec/internal/ilp"
@@ -36,17 +34,9 @@ type SimplifyResult struct {
 // every growth of V so they never reference variables inside V.
 func Simplify(fPrime *cnf.Formula, p cnf.Assignment) SimplifyResult {
 	p = p.Grow(fPrime.NumVars)
-	unsat := p.UnsatisfiedClauses(fPrime)
-	if len(unsat) == 0 {
+	inV, marked := seedUnsat(fPrime, p)
+	if inV == nil {
 		return SimplifyResult{AlreadySatisfied: true}
-	}
-	inV := make([]bool, fPrime.NumVars+1)
-	marked := make([]bool, fPrime.NumClauses())
-	for _, ci := range unsat {
-		marked[ci] = true
-		for _, l := range fPrime.Clauses[ci] {
-			inV[l.Var()] = true
-		}
 	}
 	return finishClosure(fPrime, p, inV, marked)
 }
@@ -66,38 +56,55 @@ func Simplify(fPrime *cnf.Formula, p cnf.Assignment) SimplifyResult {
 // re-solve; see cnfRegion).
 func SimplifyMinimal(fPrime *cnf.Formula, p cnf.Assignment) SimplifyResult {
 	p = p.Grow(fPrime.NumVars)
-	unsat := p.UnsatisfiedClauses(fPrime)
-	if len(unsat) == 0 {
+	inV, marked := seedUnsat(fPrime, p)
+	if inV == nil {
 		return SimplifyResult{AlreadySatisfied: true}
-	}
-	inV := make([]bool, fPrime.NumVars+1)
-	marked := make([]bool, fPrime.NumClauses())
-	for _, ci := range unsat {
-		marked[ci] = true
-		for _, l := range fPrime.Clauses[ci] {
-			inV[l.Var()] = true
-		}
 	}
 	reserved := make(map[int]cnf.Value)
 	for ci, cl := range fPrime.Clauses {
-		if marked[ci] {
-			continue
-		}
-		touchesV := false
-		for _, l := range cl {
-			if inV[l.Var()] {
-				touchesV = true
-				break
-			}
-		}
-		if !touchesV {
-			continue
-		}
-		if supported(cl, p, inV, reserved) {
+		if marked[ci] || !touchesV(cl, inV) || supported(cl, p, inV, reserved) {
 			continue
 		}
 		marked[ci] = true // V intentionally not grown
 	}
+	return closureResult(inV, marked, reserved)
+}
+
+// seedUnsat marks the clauses of fPrime unsatisfied under p and puts
+// their variables in V. Both slices are nil when every clause holds.
+func seedUnsat(fPrime *cnf.Formula, p cnf.Assignment) (inV, marked []bool) {
+	unsat := p.UnsatisfiedClauses(fPrime)
+	if len(unsat) == 0 {
+		return nil, nil
+	}
+	inV = make([]bool, fPrime.NumVars+1)
+	marked = make([]bool, fPrime.NumClauses())
+	for _, ci := range unsat {
+		marked[ci] = true
+		addVars(inV, fPrime.Clauses[ci])
+	}
+	return inV, marked
+}
+
+// touchesV reports whether the clause has a variable in V.
+func touchesV(cl cnf.Clause, inV []bool) bool {
+	for _, l := range cl {
+		if inV[l.Var()] {
+			return true
+		}
+	}
+	return false
+}
+
+// addVars puts the clause's variables in V.
+func addVars(inV []bool, cl cnf.Clause) {
+	for _, l := range cl {
+		inV[l.Var()] = true
+	}
+}
+
+// closureResult collects the marked clauses and V, both ascending.
+func closureResult(inV, marked []bool, reserved map[int]cnf.Value) SimplifyResult {
 	res := SimplifyResult{Reserved: reserved}
 	for ci, m := range marked {
 		if m {
@@ -119,22 +126,13 @@ func SimplifyMinimal(fPrime *cnf.Formula, p cnf.Assignment) SimplifyResult {
 func finishClosure(fPrime *cnf.Formula, p cnf.Assignment, inV []bool, marked []bool) SimplifyResult {
 	reserved := make(map[int]cnf.Value)
 	for {
-		for k := range reserved {
-			delete(reserved, k)
-		}
+		clear(reserved)
 		changed := false
 		for ci, cl := range fPrime.Clauses {
 			if marked[ci] {
 				continue
 			}
-			touchesV := false
-			for _, l := range cl {
-				if inV[l.Var()] {
-					touchesV = true
-					break
-				}
-			}
-			if !touchesV && p.ClauseSatisfied(cl) {
+			if !touchesV(cl, inV) && p.ClauseSatisfied(cl) {
 				continue // untouched by the re-solve; stays satisfied
 			}
 			if supported(cl, p, inV, reserved) {
@@ -142,28 +140,13 @@ func finishClosure(fPrime *cnf.Formula, p cnf.Assignment, inV []bool, marked []b
 			}
 			marked[ci] = true
 			changed = true
-			for _, l := range cl {
-				inV[l.Var()] = true
-			}
+			addVars(inV, cl)
 		}
 		if !changed {
 			break
 		}
 	}
-
-	res := SimplifyResult{Reserved: reserved}
-	for ci, m := range marked {
-		if m {
-			res.Marked = append(res.Marked, ci)
-		}
-	}
-	for v := 1; v < len(inV); v++ {
-		if inV[v] {
-			res.Vars = append(res.Vars, v)
-		}
-	}
-	sort.Ints(res.Vars)
-	return res
+	return closureResult(inV, marked, reserved)
 }
 
 // supported reports whether the clause has a literal outside V that is
@@ -281,21 +264,9 @@ func escalate(fPrime *cnf.Formula, p cnf.Assignment, simp SimplifyResult) Simpli
 		marked[ci] = true
 	}
 	for ci, cl := range fPrime.Clauses {
-		if marked[ci] {
-			continue
-		}
-		touches := false
-		for _, l := range cl {
-			if inV[l.Var()] {
-				touches = true
-				break
-			}
-		}
-		if touches {
+		if !marked[ci] && touchesV(cl, inV) {
 			marked[ci] = true
-			for _, l := range cl {
-				inV[l.Var()] = true
-			}
+			addVars(inV, cl)
 		}
 	}
 	return finishClosure(fPrime, p.Grow(fPrime.NumVars), inV, marked)
