@@ -9,8 +9,9 @@ import (
 
 // Instance is a persistent solver bound to one evolving problem: the
 // encoding that built the model (kept for variable mapping and decode),
-// a live ilp.Instance retaining kernel, LP-basis, presolve, and cut-pool
-// state across re-solves, and the problem the model currently encodes.
+// a live ilp.Instance retaining cut-pool and warm-start state (and, with
+// presolve and cuts off, kernel and LP-basis state) across re-solves, and
+// the problem the model currently encodes.
 // It is the engine-level object behind the session service's incremental
 // replan path: change batches Sync onto it as row deltas (when the
 // domain implements DeltaEncoder) and Resolve reuses everything the

@@ -20,8 +20,6 @@ import (
 //     slack-bound shift in the retained simplex, so the next root solve is
 //     a dual-simplex-style reoptimization instead of a cold start (see
 //     lp.Solver);
-//   - the presolve reduction is retained while the model is unchanged and
-//     invalidated by any edit;
 //   - the cut pool is retained across all edits — content-keyed entries
 //     mean a re-solve re-separates only the rows a delta touched
 //     (Result.ReseparatedRows);
@@ -58,10 +56,6 @@ type Instance struct {
 	// structDirty is set by any edit the retained kernel cannot absorb.
 	structDirty bool
 
-	// preCache retains the presolve reduction of the current (unedited)
-	// model; any edit clears it.
-	preCache presolveCache
-
 	pool *CutPool
 
 	resolves     int64 // completed Resolve calls
@@ -90,13 +84,6 @@ func (in *Instance) Model() *Model {
 	return in.m
 }
 
-// Pool returns the instance's retained cut pool.
-func (in *Instance) Pool() *CutPool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.pool
-}
-
 // isTombstone reports whether a model row slot holds a removed row.
 func isTombstone(r Row) bool {
 	return r.Name == "" && len(r.Coefs) == 0 && r.Sense == LE && r.RHS == 0
@@ -121,7 +108,6 @@ func (in *Instance) rebuildRowIndex() {
 func (in *Instance) noteEdit(rows int, structural bool) {
 	in.pendingDelta += int64(rows)
 	in.dirty = true
-	in.preCache.pre = nil
 	if structural {
 		in.structDirty = true
 	}
@@ -361,9 +347,6 @@ func (in *Instance) Resolve(opts Options) Result {
 		in.buildKernel(opts)
 		res = in.runRetained(in.kern)
 	default:
-		if opts.Presolve {
-			opts.preCache = &in.preCache
-		}
 		res = solvePrepared(in.m, opts)
 		in.kern = nil
 	}

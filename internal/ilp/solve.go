@@ -111,18 +111,6 @@ type Options struct {
 	// the model handed to the kernel that are cut rows (for the
 	// CutTightenings counter).
 	cutRows int
-	// preCache, set internally by Instance.Resolve, retains the presolve
-	// reduction of an unchanged model across solves: when it already holds
-	// a reduction, solvePrepared reuses it instead of recomputing the
-	// fixpoint, and when empty it is filled with the reduction computed
-	// this solve. The Instance invalidates it on every model edit.
-	preCache *presolveCache
-}
-
-// presolveCache is the Instance-retained presolve state (see
-// Options.preCache).
-type presolveCache struct {
-	pre *presolved
 }
 
 // Fingerprint writes a canonical binary digest of the answer-relevant
@@ -230,16 +218,9 @@ func solvePrepared(m *Model, opts Options) Result {
 	var pre *presolved
 	var preTime time.Duration
 	if opts.Presolve {
-		if opts.preCache != nil && opts.preCache.pre != nil {
-			pre = opts.preCache.pre
-		} else {
-			preStart := time.Now()
-			pre = presolveModel(m)
-			preTime = time.Since(preStart)
-			if opts.preCache != nil {
-				opts.preCache.pre = pre
-			}
-		}
+		preStart := time.Now()
+		pre = presolveModel(m)
+		preTime = time.Since(preStart)
 		if pre.infeasible {
 			return Result{
 				Status:        Infeasible,

@@ -14,11 +14,10 @@ const rebuildEvery = 64
 // between calls. Structural edits (added variables or rows) are detected
 // by dimension and fall back to a cold reinstall on the grown problem.
 type Solver struct {
-	p       *Problem
-	s       *simplex
-	age     int // warm solves since the last refactorization
-	armed   bool
-	maxIter int
+	p     *Problem
+	s     *simplex
+	age   int // warm solves since the last refactorization
+	armed bool
 
 	// WarmHits counts solves that reused the previous basis.
 	WarmHits int64
@@ -28,9 +27,6 @@ type Solver struct {
 func NewSolver(p *Problem) *Solver {
 	return &Solver{p: p}
 }
-
-// SetIterLimit caps simplex iterations per solve (0 = default).
-func (w *Solver) SetIterLimit(n int) { w.maxIter = n }
 
 // Solve optimizes the problem under its current bounds, warm-starting from
 // the previous basis when one exists.
@@ -49,7 +45,7 @@ func (w *Solver) Solve() Result {
 		w.age++
 		warm = true
 	}
-	res := w.s.run(w.p, w.maxIter)
+	res := w.s.run(w.p, 0)
 	if warm {
 		if res.Status == Optimal {
 			w.WarmHits++
@@ -60,7 +56,7 @@ func (w *Solver) Solve() Result {
 			// reporting anything but Optimal; such a solve is not a warm hit.
 			w.s.install(w.p)
 			w.age = 0
-			res = w.s.run(w.p, w.maxIter)
+			res = w.s.run(w.p, 0)
 		}
 	}
 	w.armed = res.Status == Optimal || res.Status == Infeasible

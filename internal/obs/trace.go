@@ -33,15 +33,6 @@ func NewTrace(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
-// ContextWithSpan returns a context carrying sp (used when handing a
-// span across an API boundary that rebuilds contexts).
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, sp)
-}
-
 // SpanFromContext returns the current span, or nil when the request is
 // not being traced.
 func SpanFromContext(ctx context.Context) *Span {
