@@ -57,7 +57,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 1, "parallel root searchers for the exact solver (1 = serial)")
 	presolve := fs.Bool("presolve", true, "run the presolve pass (bound tightening, row/column elimination)")
 	cuts := fs.Bool("cuts", true, "separate cover and clique cuts before the search")
-	resolves := fs.Int("resolves", 1, "exact solver only: re-solve the model N times through a persistent instance and report the retained-state counters")
+	resolves := fs.Int("resolves", 1, "exact solver only: re-solve the model N times through a persistent instance, each re-running the kernel (with -cuts, through one cut pool), and report the retained-state counters")
 	quiet := fs.Bool("quiet", false, "print only status and objective")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -112,6 +112,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		start := time.Now()
 		var res ilp.Result
 		if *resolves > 1 {
+			if opts.Cuts {
+				opts.CutPool = ilp.NewCutPool()
+			}
 			inst := ilp.NewInstance(m)
 			for i := 0; i < *resolves; i++ {
 				res = inst.Resolve(opts)

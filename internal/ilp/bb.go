@@ -118,15 +118,15 @@ type solver struct {
 	lpResOK    bool
 }
 
+// newSolver builds the kernel's structure for m (normalized rows, column
+// index, cover structure) and resets it for one solve under opts.
 func newSolver(m *Model, opts Options) *solver {
 	s := &solver{
 		m:            m,
-		opts:         opts,
 		maximize:     m.Maximize,
 		obj:          make([]float64, m.NumVars()),
 		fixed:        make([]int8, m.NumVars()),
 		varOccs:      make([][]occ, m.NumVars()),
-		ctx:          opts.Context,
 		cutNormStart: math.MaxInt,
 	}
 	if opts.cutRows > 0 {
@@ -151,9 +151,6 @@ func newSolver(m *Model, opts Options) *solver {
 			c = -c
 		}
 		s.obj[j] = c
-		if c < 0 {
-			s.negFree += c
-		}
 	}
 	// Normalize rows to ≤ form; EQ becomes a ≤ and a ≥(negated ≤) pair.
 	// Row coefficients and the column index live in flat backing arrays
@@ -265,13 +262,33 @@ func newSolver(m *Model, opts Options) *solver {
 	s.fusedPick = !slices.ContainsFunc(s.coverNeg, func(n int32) bool { return n > 0 })
 	s.neededMark = make([]int64, len(s.coverRows))
 	s.rowShare = make([]float64, len(s.coverRows))
+	s.reset(opts)
+	return s
+}
+
+// reset installs opts and clears every per-solve field, keeping the
+// structure newSolver built (and the LP relaxation, once built). The
+// trail must be unwound to the root, as run leaves it. It allocates
+// nothing, so a retained kernel re-solves without setup cost.
+func (s *solver) reset(opts Options) {
+	s.opts = opts
+	s.ctx = opts.Context
 	s.branching = opts.Branching
 	if s.branching == BranchMaxObj && len(s.coverRows) > 0 {
 		// The default rule degenerates on uniform objectives; covering
 		// structure admits a much better greedy choice.
 		s.branching = BranchCoverGreedy
 	}
-	return s
+	s.nodes, s.lpSolves, s.props, s.scansSaved, s.cutTight = 0, 0, 0, 0, 0
+	s.hasIncumbent, s.incumbentObj = false, 0
+	s.timedOut, s.aborted = false, false
+	s.deadline = time.Time{}
+	s.budget, s.localCap, s.shared = nil, 0, nil
+	s.lpResOK = false
+	if s.lpSolver != nil {
+		s.lpSolver.WarmHits = 0
+	}
+	s.resyncBoundTerms()
 }
 
 func (s *solver) internalObj(sol Solution) float64 {

@@ -20,17 +20,15 @@ import (
 //     slack-bound shift in the retained simplex, so the next root solve is
 //     a dual-simplex-style reoptimization instead of a cold start (see
 //     lp.Solver);
-//   - the cut pool is retained across all edits — content-keyed entries
-//     mean a re-solve re-separates only the rows a delta touched
-//     (Result.ReseparatedRows);
 //   - the previous solution becomes the warm start when the caller
 //     supplies none.
 //
 // Structural edits (row adds/removes, objective edits, pin changes) are
 // tracked and force the kernel to rebuild from the mutated model on the
-// next Resolve; the cut pool and warm start still carry over, so even a
-// rebuilt resolve is cheaper than a scratch solve. The Instance owns its
-// Model: callers must not mutate it behind the Instance's back.
+// next Resolve; the warm start still carries over. A cut pool retained
+// across resolves is the caller's Options.CutPool, read exactly as Solve
+// reads it. The Instance owns its Model: callers must not mutate it
+// behind the Instance's back.
 //
 // All methods are safe for concurrent use; Resolve serializes.
 type Instance struct {
@@ -56,32 +54,17 @@ type Instance struct {
 	// structDirty is set by any edit the retained kernel cannot absorb.
 	structDirty bool
 
-	pool *CutPool
-
 	resolves     int64 // completed Resolve calls
 	pendingDelta int64 // row edits since the previous Resolve
 
-	lastSol     Solution
-	lastRes     Result
-	hasLast     bool
-	lastOptsKey string
-	dirty       bool // any edit since the previous Resolve
+	lastSol Solution
 }
 
-// NewInstance wraps m (taking ownership) in a fresh Instance with an
-// empty retained cut pool.
+// NewInstance wraps m (taking ownership) in a fresh Instance.
 func NewInstance(m *Model) *Instance {
-	in := &Instance{m: m, pool: NewCutPool(), rhsDirty: make(map[int]float64)}
+	in := &Instance{m: m, rhsDirty: make(map[int]float64)}
 	in.rebuildRowIndex()
 	return in
-}
-
-// Model returns the wrapped model. Treat it as read-only: all mutations
-// must go through the Instance's delta methods.
-func (in *Instance) Model() *Model {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.m
 }
 
 // isTombstone reports whether a model row slot holds a removed row.
@@ -107,7 +90,6 @@ func (in *Instance) rebuildRowIndex() {
 // noteEdit records bookkeeping common to every delta method.
 func (in *Instance) noteEdit(rows int, structural bool) {
 	in.pendingDelta += int64(rows)
-	in.dirty = true
 	if structural {
 		in.structDirty = true
 	}
@@ -293,76 +275,33 @@ func ModelFingerprint(m *Model) uint64 {
 	return sum
 }
 
-// optsKey digests the answer-relevant options for the unchanged-model
-// shortcut (Presolve/Cuts are answer-equivalent and excluded, exactly as
-// in Options.Fingerprint).
-func optsKey(o Options) string {
-	return fmt.Sprintf("%d/%d/%d/%d/%d", o.Bounding, o.Branching, o.MaxNodes, o.TimeLimit, o.Workers)
-}
-
-// Resolve solves the instance's current model. The zero-delta case with a
-// previously proven answer returns it outright; RHS-only deltas run on
-// the retained kernel and LP basis; structural deltas rebuild the kernel
-// but keep the cut pool and warm start. When opts carries no WarmStart
-// the previous solution (if any) is used; when opts.Cuts is set without a
-// CutPool the instance's retained pool is bound in.
+// Resolve solves the instance's current model. RHS-only deltas run on
+// the retained kernel and LP basis; structural deltas rebuild the kernel.
+// When opts carries no WarmStart the previous solution (if any) is used.
 func (in *Instance) Resolve(opts Options) Result {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	start := time.Now()
 
-	if opts.Cuts && opts.CutPool == nil {
-		opts.CutPool = in.pool
-	}
 	if opts.WarmStart == nil && in.lastSol != nil && len(in.lastSol) == in.m.NumVars() {
 		opts.WarmStart = in.lastSol
 	}
-	key := optsKey(opts)
-
-	// Unchanged model + same answer-relevant options + proven answer:
-	// nothing can have changed; serve the retained result.
-	if !in.dirty && in.hasLast && key == in.lastOptsKey &&
-		(in.lastRes.Status == Optimal || in.lastRes.Status == Infeasible) {
-		res := in.lastRes
-		if res.Solution != nil {
-			res.Solution = res.Solution.Clone()
-		}
-		res.InstanceReused = in.resolves
-		res.RowsDelta = 0
-		res.ReseparatedRows = 0
-		res.Runtime = time.Since(start)
-		in.resolves++
-		return res
-	}
-
-	reused := in.resolves
-	delta := in.pendingDelta
 	var res Result
-	switch kern := in.retainedKernel(opts); {
-	case kern != nil:
-		res = in.runRetained(kern)
-	case in.kernelRetainable(opts):
-		// Rebuild the kernel from the mutated model and keep it for the
-		// next RHS-only delta; warm start and cut pool already carry over.
-		in.buildKernel(opts)
-		res = in.runRetained(in.kern)
-	default:
+	if in.kernelRetainable(opts) {
+		res = timedSearch(in.retainedKernel(opts).run)
+	} else {
 		res = solvePrepared(in.m, opts)
 		in.kern = nil
 	}
-	res.InstanceReused = reused
-	res.RowsDelta = delta
+	res.InstanceReused = in.resolves
+	res.RowsDelta = in.pendingDelta
 	res.Runtime = time.Since(start)
 
 	in.resolves++
 	in.pendingDelta = 0
-	in.dirty = false
-	in.lastOptsKey = key
-	in.lastRes = res
 	if res.Solution != nil {
 		in.lastSol = res.Solution.Clone()
 	}
-	in.hasLast = true
 	return res
 }
 
@@ -374,39 +313,16 @@ func (in *Instance) kernelRetainable(opts Options) bool {
 	return !opts.Presolve && !opts.Cuts && opts.Workers <= 1
 }
 
-// buildKernel constructs the retained kernel and the model-row →
-// normalized-row index map from the current model.
-func (in *Instance) buildKernel(opts Options) {
-	in.kern = newSolver(in.m, opts)
-	in.normIdx = make([]int, in.m.NumRows())
-	ni := 0
-	for i := 0; i < in.m.NumRows(); i++ {
-		in.normIdx[i] = ni
-		if in.m.RowAt(i).Sense == EQ {
-			ni += 2
-		} else {
-			ni++
-		}
-	}
-	in.rhsDirty = make(map[int]float64)
-	in.structDirty = false
-}
-
-// retainedKernel returns the kernel to reuse for this resolve, or nil
-// when the pending deltas (or the options) require a rebuild. Pending RHS
-// edits are patched into the kernel's normalized rows and LP relaxation
-// before it is returned.
+// retainedKernel returns the kernel for this resolve, reset for opts: the
+// retained one with pending RHS edits patched into its normalized rows
+// and LP relaxation, or one rebuilt from the current model when there is
+// none or a pending delta is structural.
 func (in *Instance) retainedKernel(opts Options) *solver {
-	if in.kern == nil || in.structDirty || !in.kernelRetainable(opts) {
-		return nil
+	if in.kern == nil || in.structDirty {
+		in.buildKernel(opts)
+		return in.kern
 	}
 	s := in.kern
-	// The kernel's branching auto-switch must match what newSolver would
-	// pick for these options.
-	br := opts.Branching
-	if br == BranchMaxObj && len(s.coverRows) > 0 {
-		br = BranchCoverGreedy
-	}
 	for i, rhs := range in.rhsDirty {
 		ni := in.normIdx[i]
 		switch in.m.RowAt(i).Sense {
@@ -429,34 +345,25 @@ func (in *Instance) retainedKernel(opts Options) *solver {
 			}
 		}
 	}
-	in.rhsDirty = make(map[int]float64)
-	// Reset per-solve state; the trail is already unwound to the root
-	// (run() undoes every assignment before returning).
-	s.opts = opts
-	s.ctx = opts.Context
-	s.branching = br
-	s.nodes, s.lpSolves, s.props, s.scansSaved, s.cutTight = 0, 0, 0, 0, 0
-	s.hasIncumbent = false
-	s.incumbentObj = 0
-	s.timedOut, s.aborted = false, false
-	s.deadline = time.Time{}
-	s.budget, s.localCap = nil, 0
-	s.shared = nil
-	s.lpResOK = false
-	s.resyncBoundTerms()
+	clear(in.rhsDirty)
+	s.reset(opts)
 	return s
 }
 
-// runRetained runs one solve on the retained kernel, reporting per-solve
-// LP warm hits (the solver's counter is cumulative across resolves).
-func (in *Instance) runRetained(s *solver) Result {
-	var warmBase int64
-	if s.lpSolver != nil {
-		warmBase = s.lpSolver.WarmHits
+// buildKernel constructs the retained kernel and the model-row →
+// normalized-row index map from the current model.
+func (in *Instance) buildKernel(opts Options) {
+	in.kern = newSolver(in.m, opts)
+	in.normIdx = make([]int, in.m.NumRows())
+	ni := 0
+	for i := 0; i < in.m.NumRows(); i++ {
+		in.normIdx[i] = ni
+		if in.m.RowAt(i).Sense == EQ {
+			ni += 2
+		} else {
+			ni++
+		}
 	}
-	start := time.Now()
-	res := s.run()
-	res.LPWarmHits -= warmBase
-	res.SearchTime = time.Since(start)
-	return res
+	clear(in.rhsDirty)
+	in.structDirty = false
 }

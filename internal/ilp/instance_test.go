@@ -60,8 +60,8 @@ func TestInstanceRHSDeltaMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestInstanceNoopResolve: a second resolve of an unchanged model with a
-// proven answer is served from the retained result.
+// TestInstanceNoopResolve: a second resolve of an unchanged model re-runs
+// the retained kernel with nothing to patch and answers the same.
 func TestInstanceNoopResolve(t *testing.T) {
 	inst := NewInstance(knapsackModel())
 	first := inst.Resolve(Options{})
@@ -73,8 +73,8 @@ func TestInstanceNoopResolve(t *testing.T) {
 	if second.InstanceReused != 1 || second.RowsDelta != 0 {
 		t.Fatalf("noop counters: reused=%d delta=%d", second.InstanceReused, second.RowsDelta)
 	}
-	// Different answer-relevant options must not be served from the cache:
-	// a node-limited solve can legitimately differ.
+	// A node-limited resolve may stop short, but must never claim a wrong
+	// optimum.
 	third := inst.Resolve(Options{MaxNodes: 1})
 	if third.Status == Optimal && math.Abs(third.Objective-first.Objective) > 1e-9 {
 		t.Fatalf("limited resolve returned a wrong 'optimal': %+v", third)
@@ -154,12 +154,13 @@ func TestInstanceCoverGuardRebuild(t *testing.T) {
 // one row edit only re-separates that row.
 func TestInstanceCutsReseparation(t *testing.T) {
 	inst := NewInstance(knapsackModel())
-	first := inst.Resolve(Options{Cuts: true})
+	pool := NewCutPool()
+	first := inst.Resolve(Options{Cuts: true, CutPool: pool})
 	if first.ReseparatedRows == 0 {
 		t.Fatalf("first cut solve separated no rows: %+v", first)
 	}
 	inst.SetRHS("kn", 7)
-	second := inst.Resolve(Options{Cuts: true})
+	second := inst.Resolve(Options{Cuts: true, CutPool: pool})
 	if second.ReseparatedRows >= first.ReseparatedRows {
 		t.Fatalf("re-solve re-separated %d rows (first %d), want fewer",
 			second.ReseparatedRows, first.ReseparatedRows)
@@ -172,9 +173,7 @@ func TestInstanceCutsReseparation(t *testing.T) {
 }
 
 // TestInstancePresolveCacheReuse: resolving an unchanged model twice with
-// presolve on under different node budgets answers exactly both times
-// (the second resolve cannot take the unchanged-model shortcut, whose
-// key includes MaxNodes).
+// presolve on under different node budgets answers exactly both times.
 func TestInstancePresolveCacheReuse(t *testing.T) {
 	inst := NewInstance(knapsackModel())
 	want := Solve(knapsackModel(), Options{})

@@ -161,10 +161,10 @@ type Result struct {
 	// CutTightenings counts variable fixings forced by cut rows during
 	// propagation — prunings the raw row set would not have made.
 	CutTightenings int64
-	// InstanceReused counts how many prior Resolve calls' retained state
-	// (column index, trail arena, LP basis, cut pool) this solve built on.
-	// Zero for scratch solves and for the first solve of an Instance (or
-	// the first after a structural rebuild).
+	// InstanceReused counts the earlier Resolve calls of the same
+	// Instance, whose warm start (and, with presolve and cuts off, kernel
+	// and LP basis) this solve may build on. Zero for scratch solves and
+	// for the first solve of an Instance.
 	InstanceReused int64
 	// RowsDelta is the number of row edits (adds + removes + RHS changes +
 	// pin changes) applied to the Instance since its previous Resolve.
@@ -197,13 +197,19 @@ func Solve(m *Model, opts Options) Result {
 // solveCore dispatches the prepared model to the serial or parallel
 // kernel.
 func solveCore(m *Model, opts Options) Result {
+	return timedSearch(func() Result {
+		if opts.Workers > 1 {
+			return solveParallel(m, opts)
+		}
+		return newSolver(m, opts).run()
+	})
+}
+
+// timedSearch runs one kernel search and records its wall time as the
+// result's SearchTime.
+func timedSearch(search func() Result) Result {
 	start := time.Now()
-	var res Result
-	if opts.Workers > 1 {
-		res = solveParallel(m, opts)
-	} else {
-		res = newSolver(m, opts).run()
-	}
+	res := search()
 	res.SearchTime = time.Since(start)
 	return res
 }
