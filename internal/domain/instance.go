@@ -9,8 +9,8 @@ import (
 
 // Instance is a persistent solver bound to one evolving problem: the
 // encoding that built the model (kept for variable mapping and decode),
-// a live ilp.Instance retaining cut-pool and warm-start state (and, with
-// presolve and cuts off, kernel and LP-basis state) across re-solves, and
+// a live ilp.Instance retaining warm-start state (and, with presolve and
+// cuts off, kernel and LP-basis state) across re-solves, and
 // the problem the model currently encodes.
 // It is the engine-level object behind the session service's incremental
 // replan path: change batches Sync onto it as row deltas (when the
@@ -46,13 +46,6 @@ func NewInstance(d Domain, problem any) (*Instance, error) {
 		fp:      problemFP(d, clone),
 	}, nil
 }
-
-// Problem returns the problem the instance currently encodes (the live
-// value; treat as read-only).
-func (si *Instance) Problem() any { return si.problem }
-
-// ILP exposes the underlying solver instance (counters, fingerprint).
-func (si *Instance) ILP() *ilp.Instance { return si.inst }
 
 // Matches reports whether the instance already encodes the given
 // problem.

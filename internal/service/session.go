@@ -45,8 +45,8 @@ type Session struct {
 	cuts *ilp.CutPool
 	// inst is the session's persistent solver instance (nil until the
 	// first instance-path solve, after an invalidation, and on a session
-	// rebuilt from the store): a live kernel whose column index, LP
-	// basis, presolve reduction, and retained cuts survive across EC
+	// rebuilt from the store): a live model whose warm start (and, with
+	// presolve and cuts off, kernel and LP basis) survives across EC
 	// re-solves. Drained change batches sync onto it as row deltas when
 	// the domain implements DeltaEncoder; batches that cannot be
 	// expressed as deltas (or any solve error) invalidate it, and the
@@ -419,15 +419,19 @@ func (s *Session) ensureInstanceLocked(problem any, batch []any) (*domain.Instan
 }
 
 // replanSolveLocked runs a full solve of problem — through the session's
-// persistent instance when enabled, falling back to a scratch solve when
-// the instance cannot be built.
+// persistent instance when enabled, as a scratch solve otherwise. An
+// instance that cannot be built failed to encode problem, which a
+// scratch solve would fail on with the same error.
 func (s *Session) replanSolveLocked(ctx context.Context, problem any, batch []any, warm any) (any, ilp.Result, error) {
-	if s.instanceEnabled() {
-		if inst, err := s.ensureInstanceLocked(problem, batch); err == nil {
-			return inst.Resolve(s.solverOptsLocked(ctx), warm)
-		}
+	opts := s.solverOptsLocked(ctx)
+	if !s.instanceEnabled() {
+		return domain.Solve(s.dom, problem, opts, warm)
 	}
-	return domain.Solve(s.dom, problem, s.solverOptsLocked(ctx), warm)
+	inst, err := s.ensureInstanceLocked(problem, batch)
+	if err != nil {
+		return nil, ilp.Result{}, err
+	}
+	return inst.Resolve(opts, warm)
 }
 
 // syncInstanceLocked keeps the retained instance tracking a commit the
