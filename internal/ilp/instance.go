@@ -288,7 +288,9 @@ func (in *Instance) Resolve(opts Options) Result {
 	}
 	var res Result
 	if in.kernelRetainable(opts) {
-		res = timedSearch(in.retainedKernel(opts).run)
+		kern, path := in.retainedKernel(opts)
+		res = timedSearch(kern.run)
+		res.Kernel = path
 	} else {
 		res = solvePrepared(in.m, opts)
 		in.kern = nil
@@ -308,19 +310,20 @@ func (in *Instance) Resolve(opts Options) Result {
 // kernelRetainable reports whether opts admit keeping a raw kernel
 // between resolves: presolve and cuts rewrite the working model per
 // solve, and the parallel search builds per-worker solvers, so only the
-// plain serial shape retains.
+// plain serial shape retains. The session service's Replan re-solves
+// clear Presolve and Cuts, so served replans take this path.
 func (in *Instance) kernelRetainable(opts Options) bool {
 	return !opts.Presolve && !opts.Cuts && opts.Workers <= 1
 }
 
-// retainedKernel returns the kernel for this resolve, reset for opts: the
-// retained one with pending RHS edits patched into its normalized rows
-// and LP relaxation, or one rebuilt from the current model when there is
-// none or a pending delta is structural.
-func (in *Instance) retainedKernel(opts Options) *solver {
+// retainedKernel returns the kernel for this resolve, reset for opts, and
+// the path that produced it: the retained one with pending RHS edits
+// patched into its normalized rows and LP relaxation, or one rebuilt from
+// the current model when there is none or a pending delta is structural.
+func (in *Instance) retainedKernel(opts Options) (*solver, KernelPath) {
 	if in.kern == nil || in.structDirty {
 		in.buildKernel(opts)
-		return in.kern
+		return in.kern, KernelRebuilt
 	}
 	s := in.kern
 	for i, rhs := range in.rhsDirty {
@@ -347,7 +350,7 @@ func (in *Instance) retainedKernel(opts Options) *solver {
 	}
 	clear(in.rhsDirty)
 	s.reset(opts)
-	return s
+	return s, KernelPatched
 }
 
 // buildKernel constructs the retained kernel and the model-row →

@@ -60,6 +60,35 @@ func TestInstanceRHSDeltaMatchesScratch(t *testing.T) {
 	}
 }
 
+// TestInstanceKernelPath: Result.Kernel names the path each resolve
+// took. The first retained resolve builds the kernel, an RHS-only edit
+// patches it, a row add or a cover-boundary RHS edit rebuilds it, and
+// presolve or cuts send the resolve through the scratch path, dropping
+// the retained kernel.
+func TestInstanceKernelPath(t *testing.T) {
+	inst := NewInstance(knapsackModel())
+	step := func(tag string, opts Options, want KernelPath) {
+		t.Helper()
+		if got := inst.Resolve(opts).Kernel; got != want {
+			t.Fatalf("%s: kernel %v, want %v", tag, got, want)
+		}
+	}
+	step("first", Options{}, KernelRebuilt)
+	inst.SetRHS("kn", 7)
+	step("rhs edit", Options{}, KernelPatched)
+	step("unchanged", Options{}, KernelPatched)
+	inst.AddRows([]Row{{Name: "extra", Coefs: []Coef{{0, 1}, {7, 1}}, Sense: LE, RHS: 1}})
+	step("row add", Options{}, KernelRebuilt)
+	inst.SetRHS("cov", 2)
+	step("cover rhs edit", Options{}, KernelRebuilt)
+	step("presolve", Options{Presolve: true}, KernelScratch)
+	step("cuts", Options{Cuts: true}, KernelScratch)
+	step("after scratch", Options{}, KernelRebuilt)
+	if got := Solve(knapsackModel(), Options{}).Kernel; got != KernelScratch {
+		t.Fatalf("Solve: kernel %v, want %v", got, KernelScratch)
+	}
+}
+
 // TestInstanceNoopResolve: a second resolve of an unchanged model re-runs
 // the retained kernel with nothing to patch and answers the same.
 func TestInstanceNoopResolve(t *testing.T) {

@@ -68,6 +68,35 @@ const (
 	BranchCoverGreedy
 )
 
+// KernelPath says where a solve's branch-and-bound kernel came from.
+type KernelPath uint8
+
+const (
+	// KernelScratch: the kernel was built for this solve alone, after
+	// presolve and cut separation when those are on. Every Solve, and an
+	// Instance resolve whose options do not admit a retained kernel.
+	KernelScratch KernelPath = iota
+	// KernelRebuilt: an Instance built its retained kernel afresh from
+	// the current model (its first retained resolve, or one after a
+	// structural delta).
+	KernelRebuilt
+	// KernelPatched: an Instance reused its retained kernel and LP basis,
+	// with the pending RHS edits patched in.
+	KernelPatched
+)
+
+// String renders the path as "scratch", "rebuilt" or "patched".
+func (k KernelPath) String() string {
+	switch k {
+	case KernelRebuilt:
+		return "rebuilt"
+	case KernelPatched:
+		return "patched"
+	default:
+		return "scratch"
+	}
+}
+
 // Options configures Solve. The zero value gives an exact solve with
 // combinatorial bounding and max-objective branching.
 type Options struct {
@@ -152,20 +181,25 @@ type Result struct {
 	// PresolveRows counts rows dropped by presolve (redundant +
 	// duplicate).
 	PresolveRows int64
-	// CutsAdded is the number of cut rows added to this solve (separated
-	// fresh plus served from the pool).
+	// CutsAdded is the number of cut rows separated fresh for this solve.
+	// Cuts served from the pool count in CutsReused instead, so the two
+	// are disjoint.
 	CutsAdded int64
-	// CutsReused is the subset of CutsAdded served from a retained
-	// CutPool without re-separation.
+	// CutsReused is the number of cut rows served from a retained CutPool
+	// without re-separation (disjoint from CutsAdded).
 	CutsReused int64
 	// CutTightenings counts variable fixings forced by cut rows during
 	// propagation — prunings the raw row set would not have made.
 	CutTightenings int64
 	// InstanceReused counts the earlier Resolve calls of the same
-	// Instance, whose warm start (and, with presolve and cuts off, kernel
-	// and LP basis) this solve may build on. Zero for scratch solves and
-	// for the first solve of an Instance.
+	// Instance, whose warm start (and, when Kernel is KernelPatched,
+	// kernel and LP basis) this solve built on. Zero for scratch solves
+	// and for the first solve of an Instance.
 	InstanceReused int64
+	// Kernel says where the branch-and-bound kernel of this solve came
+	// from: built for it alone (KernelScratch, every Solve), or an
+	// Instance's retained kernel, rebuilt or patched.
+	Kernel KernelPath
 	// RowsDelta is the number of row edits (adds + removes + RHS changes +
 	// pin changes) applied to the Instance since its previous Resolve.
 	// Zero for scratch solves.
