@@ -1,12 +1,17 @@
 package service
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ilpec/internal/domain"
+	"ilpec/internal/ilp"
+	"ilpec/internal/obs"
+	"ilpec/internal/sched"
 	"ilpec/internal/store"
 )
 
@@ -59,11 +64,26 @@ func driveStep(t *testing.T, label string, d domain.Domain, inst, scratch *Sessi
 // pins that the scratch arm never touches the instance counters while
 // the instance arm builds at least one.
 func TestInstanceScratchDifferential(t *testing.T) {
+	runInstanceScratchDifferential(t, ilp.Options{})
+}
+
+// TestInstanceScratchDifferentialServing is the differential suite under
+// the options ecserve serves with: presolve and cuts on for initial,
+// fast-EC and preserving solves, and cleared on Replan batch re-solves,
+// which then run on the instance's retained kernel.
+func TestInstanceScratchDifferentialServing(t *testing.T) {
+	runInstanceScratchDifferential(t, servingSolve)
+}
+
+// servingSolve is ecserve's default solver configuration.
+var servingSolve = ilp.Options{Workers: 1, Presolve: true, Cuts: true}
+
+func runInstanceScratchDifferential(t *testing.T, solve ilp.Options) {
 	for _, name := range allDomains {
 		for _, strat := range []domain.Strategy{domain.FastEC, domain.PreservingEC, domain.Replan} {
 			t.Run(name+"/"+strat.String(), func(t *testing.T) {
-				instSvc := newTestService(t, Options{})
-				scrSvc := newTestService(t, Options{DisableInstance: true})
+				instSvc := newTestService(t, Options{Solve: solve})
+				scrSvc := newTestService(t, Options{Solve: solve, DisableInstance: true})
 				d, c := fixtureFor(t, instSvc, name)
 				si, err := instSvc.CreateDomainSession(name, c.Problem, SessionConfig{Strategy: &strat})
 				if err != nil {
@@ -122,6 +142,100 @@ func TestInstanceReuseAccounting(t *testing.T) {
 		t.Fatalf("after delta replan: rebuilds=%d reuses=%d, want 1/1",
 			m.InstanceRebuilds, m.InstanceReuses)
 	}
+}
+
+// TestReplanBatchSkipsPresolveAndCuts: under serving options a Replan
+// session's initial solve runs presolve, while its batch re-solves run
+// neither presolve nor cut separation. A structural batch rebuilds the
+// instance's kernel, and an RHS-only set-capacity batch then patches it.
+// Each re-solve's answer verifies and is as good as a scratch solve of
+// the changed problem.
+func TestReplanBatchSkipsPresolveAndCuts(t *testing.T) {
+	svc := newTestService(t, Options{Solve: servingSolve})
+	replan := domain.Replan
+	d, c := fixtureFor(t, svc, "sched")
+	sess, err := svc.CreateDomainSession("sched", c.Problem, SessionConfig{Strategy: &replan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(tag string, batch ...any) map[string]*obs.SpanOut {
+		t.Helper()
+		if len(batch) > 0 {
+			if _, err := sess.QueueChanges(batch...); err != nil {
+				t.Fatalf("%s: queue: %v", tag, err)
+			}
+		}
+		ctx, root := obs.NewTrace(context.Background(), "test")
+		res, err := sess.SolveContext(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if res.Cached {
+			t.Fatalf("%s: served from the cache; the script must reach the solver", tag)
+		}
+		if err := d.Verify(sess.Problem(), res.Solution); err != nil {
+			t.Fatalf("%s: solution invalid: %v", tag, err)
+		}
+		_, want, err := domain.Solve(d, sess.Problem(), ilp.Options{}, nil)
+		if err != nil {
+			t.Fatalf("%s: scratch solve: %v", tag, err)
+		}
+		if got := objectiveOf(t, d, sess.Problem(), res.Solution); math.Abs(got-want.Objective) > 1e-9 {
+			t.Fatalf("%s: objective %v, scratch solve %v", tag, got, want.Objective)
+		}
+		phases := map[string]*obs.SpanOut{}
+		var walk func(sp *obs.SpanOut)
+		walk = func(sp *obs.SpanOut) {
+			for _, ch := range sp.Children {
+				phases[ch.Name] = ch
+				walk(ch)
+			}
+		}
+		walk(root.Render())
+		if phases["search"] == nil {
+			t.Fatalf("%s: no search span", tag)
+		}
+		return phases
+	}
+	// A batch re-solve reports neither phase and the given kernel path.
+	resolve := func(tag, kernel string, batch ...any) {
+		t.Helper()
+		phases := solve(tag, batch...)
+		for _, p := range []string{"presolve", "cut_separation"} {
+			if phases[p] != nil {
+				t.Errorf("%s: re-solve ran %s (%.4f ms)", tag, p, phases[p].DurationMS)
+			}
+		}
+		if got := phases["search"].Attrs["kernel"]; got != kernel {
+			t.Errorf("%s: kernel %q, want %q", tag, got, kernel)
+		}
+	}
+
+	if phases := solve("initial"); phases["presolve"] == nil {
+		t.Fatal("initial solve ran no presolve under serving options")
+	} else if got := phases["search"].Attrs["kernel"]; got != "scratch" {
+		t.Fatalf("initial: kernel %q, want scratch", got)
+	}
+	resolve("add-dep", "rebuilt", sched.Change{Kind: "add-dep", From: 2, To: 4})
+	resolve("set-capacity", "patched", sched.Change{Kind: "set-capacity", Type: 0, Capacity: 1})
+	if m := svc.Metrics(); m.InstanceRebuilds != 1 || m.InstanceReuses != 2 {
+		t.Fatalf("rebuilds=%d reuses=%d, want 1/2", m.InstanceRebuilds, m.InstanceReuses)
+	}
+}
+
+// objectiveOf evaluates a domain solution under the problem's own ILP
+// encoding.
+func objectiveOf(t *testing.T, d domain.Domain, problem, sol any) float64 {
+	t.Helper()
+	enc, err := d.Encode(problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, ok := enc.WarmStart(sol)
+	if !ok {
+		t.Fatal("solution does not project onto its problem's encoding")
+	}
+	return enc.ILP().Objective(ws)
 }
 
 // TestInstanceCrashRecoveryDifferential: an instance-enabled file-backed

@@ -61,8 +61,9 @@ func (so *serviceObs) phaseAt(ctx context.Context, name string, start time.Time,
 // solverPhases lays the kernel's post-hoc phase durations onto the
 // request timeline: the phases ran back to back ending roughly now, so
 // each span's start is reconstructed backwards from that end. The search
-// span carries the search's node and LP-solve counts and its status, so
-// a slow trace shows how much searching it did, not only how long.
+// span carries the search's node and LP-solve counts, its status, and
+// where its kernel came from (scratch, rebuilt or patched), so a slow
+// trace shows how much searching it did, not only how long.
 func (so *serviceObs) solverPhases(ctx context.Context, res ilp.Result) {
 	if so == nil {
 		return
@@ -81,6 +82,7 @@ func (so *serviceObs) solverPhases(ctx context.Context, res ilp.Result) {
 		sp.SetAttr("nodes", strconv.FormatInt(res.Nodes, 10))
 		sp.SetAttr("lp_solves", strconv.FormatInt(res.LPSolves, 10))
 		sp.SetAttr("status", res.Status.String())
+		sp.SetAttr("kernel", res.Kernel.String())
 	}
 }
 

@@ -155,7 +155,7 @@ func TestTraceInjectionEndToEnd(t *testing.T) {
 		}
 	}
 	// The search span says how the search went: its node and LP-solve
-	// counts and the kernel's status.
+	// counts, the kernel's status, and where the kernel came from.
 	if search := phases["search"]; search != nil {
 		for _, key := range []string{"nodes", "lp_solves"} {
 			if n, err := strconv.ParseInt(search.Attrs[key], 10, 64); err != nil || n < 0 {
@@ -164,6 +164,10 @@ func TestTraceInjectionEndToEnd(t *testing.T) {
 		}
 		if got := search.Attrs["status"]; got != "OPTIMAL" {
 			t.Errorf("search span attr status = %q, want OPTIMAL", got)
+		}
+		// The session's first solve builds its instance's kernel.
+		if got := search.Attrs["kernel"]; got != "rebuilt" {
+			t.Errorf("search span attr kernel = %q, want rebuilt", got)
 		}
 	}
 
@@ -180,7 +184,7 @@ func TestTraceInjectionEndToEnd(t *testing.T) {
 
 // TestSearchSpanCounts: on a traced solve the search span's nodes,
 // lp_solves and status attributes are the kernel's own numbers for that
-// solve.
+// solve, and its kernel attribute names the instance's first build.
 func TestSearchSpanCounts(t *testing.T) {
 	f := hardFormula(t)
 	_, res, err := domain.Solve(core.CNF(), f, ilp.Options{}, nil)
@@ -220,6 +224,9 @@ func TestSearchSpanCounts(t *testing.T) {
 	}
 	if got := search.Attrs["status"]; got != res.Status.String() {
 		t.Errorf("search span attr status = %q, want %s", got, res.Status)
+	}
+	if got := search.Attrs["kernel"]; got != ilp.KernelRebuilt.String() {
+		t.Errorf("search span attr kernel = %q, want %s", got, ilp.KernelRebuilt)
 	}
 }
 

@@ -38,17 +38,19 @@ type Session struct {
 	strategy domain.Strategy // guarded by mu
 	solve    ilp.Options     // guarded by mu
 	// cuts is the session's retained cut pool (used when the session's
-	// solver options enable Cuts): separated cutting planes keyed by
+	// solver options enable Cuts, on every solve but a Replan batch
+	// re-solve, which runs without cuts): separated cutting planes keyed by
 	// source-row content, so an EC re-solve only pays separation for the
 	// rows the change batch touched. Solves are serialized under mu, so
 	// the pool is never shared between concurrent searches. Guarded by mu.
 	cuts *ilp.CutPool
 	// inst is the session's persistent solver instance (nil until the
 	// first instance-path solve, after an invalidation, and on a session
-	// rebuilt from the store): a live model whose warm start (and, with
-	// presolve and cuts off, kernel and LP basis) survives across EC
-	// re-solves. Drained change batches sync onto it as row deltas when
-	// the domain implements DeltaEncoder; batches that cannot be
+	// rebuilt from the store): a live model whose warm start survives
+	// across EC re-solves, and whose kernel and LP basis survive across
+	// Replan batch re-solves (which run with presolve and cuts off).
+	// Drained change batches sync onto it as row deltas when the domain
+	// implements DeltaEncoder; batches that cannot be
 	// expressed as deltas (or any solve error) invalidate it, and the
 	// next instance-path solve rebuilds it from the committed problem.
 	// Options.DisableInstance turns the path off service-wide.
@@ -418,12 +420,11 @@ func (s *Session) ensureInstanceLocked(problem any, batch []any) (*domain.Instan
 	return inst, nil
 }
 
-// replanSolveLocked runs a full solve of problem — through the session's
-// persistent instance when enabled, as a scratch solve otherwise. An
-// instance that cannot be built failed to encode problem, which a
-// scratch solve would fail on with the same error.
-func (s *Session) replanSolveLocked(ctx context.Context, problem any, batch []any, warm any) (any, ilp.Result, error) {
-	opts := s.solverOptsLocked(ctx)
+// replanSolveLocked runs a full solve of problem under opts — through the
+// session's persistent instance when enabled, as a scratch solve
+// otherwise. An instance that cannot be built failed to encode problem,
+// which a scratch solve would fail on with the same error.
+func (s *Session) replanSolveLocked(opts ilp.Options, problem any, batch []any, warm any) (any, ilp.Result, error) {
 	if !s.instanceEnabled() {
 		return domain.Solve(s.dom, problem, opts, warm)
 	}
@@ -512,7 +513,7 @@ func (s *Session) solveInitialLocked(ctx context.Context, batch []any, start tim
 		if warm != nil {
 			s.svc.metrics.IncumbentHits.Add(1)
 		}
-		a, res, err := s.replanSolveLocked(ctx, p, batch, warm)
+		a, res, err := s.replanSolveLocked(s.solverOptsLocked(ctx), p, batch, warm)
 		s.svc.noteSolverResult(ctx, res)
 		return a, err == nil && res.Status == ilp.Optimal, wrapCtxErr(ctx, err)
 	})
@@ -600,8 +601,17 @@ func (s *Session) solveBatchLocked(ctx context.Context, batch []any, start time.
 		}
 	case domain.Replan:
 		key = s.taskKeyLocked("plain", changed, nil)
+		// A replan batch re-solves the same model ± a few rows, the case
+		// the instance's retained kernel is for. Presolve and cut
+		// separation rewrite the working model on every solve, so with
+		// either on the instance rebuilds everything each time; they are
+		// cleared for this solve only (both are answer-equivalent and
+		// outside the cache key). The scratch arm clears them too, so the
+		// two arms solve alike.
+		ropts := s.solverOptsLocked(ctx)
+		ropts.Presolve, ropts.Cuts, ropts.CutPool = false, false, nil
 		compute = func() (any, bool, error) {
-			next, res, rerr := s.replanSolveLocked(ctx, changed, batch, prev)
+			next, res, rerr := s.replanSolveLocked(ropts, changed, batch, prev)
 			s.svc.noteSolverResult(ctx, res)
 			return next, rerr == nil && res.Status == ilp.Optimal, wrapCtxErr(ctx, rerr)
 		}
