@@ -159,8 +159,8 @@ func parseFlags(args []string, errOut io.Writer) (config, error) {
 	maxSessions := fs.Int("max-sessions", 4096, "live session limit")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-solve time limit (0 = none)")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain budget")
-	presolve := fs.Bool("presolve", true, "run the solver's presolve pass on every solve")
-	cuts := fs.Bool("cuts", true, "separate cover/clique cuts, retained per session across re-solves")
+	presolve := fs.Bool("presolve", true, "run the solver's presolve pass on initial, fast-EC and preserving solves (never on replan batch re-solves, which run on the session's retained kernel)")
+	cuts := fs.Bool("cuts", true, "separate cover/clique cuts, retained per session, on initial, fast-EC and preserving solves (never on replan batch re-solves)")
 	instance := fs.Bool("instance", true, "serve sessions through persistent kernel instances (incremental delta re-solves); false = scratch re-encode per solve")
 	dataDir := fs.String("data-dir", "", "durable session store directory (empty = in-memory only)")
 	snapshotEvery := fs.Int("snapshot-every", 64, "journal records per session between compaction snapshots")

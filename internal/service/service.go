@@ -207,16 +207,16 @@ func newMetrics(r *obs.Registry) Metrics {
 		Batches:          c("batches", "Change batches resolved; each coalesces one or more changes into a single pass."),
 		DuplicateBatches: c("duplicate_batches", "Change batches acknowledged without being applied: their idempotency key matched an accepted batch."),
 		Solves:           c("solves", "Session solves that produced a solution (initial, batch re-solve, relax fast path)."),
-		SolverRuns:       c("solver_runs", "Branch-and-bound executions (solve-cache misses computed locally)."),
+		SolverRuns:       c("solver_runs", "Solve-cache misses computed locally without error, one per compute: a fast-EC pass counts once however many rungs ran."),
 		CacheHits:        c("cache_hits", "Solve-cache hits, including joins of an identical in-flight solve."),
 		CacheMisses:      c("cache_misses", "Solve-cache misses."),
 		RelaxFastPaths:   c("relax_fast_paths", "Batches absorbed without solver work (relaxing-only change sets)."),
 		IncumbentHits:    c("incumbent_hits", "Solves warm-started from the shared incumbent store."),
-		TruncatedSolves:  c("truncated_solves", "Solver runs stopped by a node/time limit or a cancelled request (never cached)."),
+		TruncatedSolves:  c("truncated_solves", "Kernel runs stopped by a node/time limit or a cancelled request (never cached); each fast-EC rung and failed pass counts, so this can exceed solver_runs."),
 		PresolveFixed:    c("presolve_fixed", "Variables fixed by the kernel's presolve, over all solver runs."),
 		PresolveRows:     c("presolve_rows", "Rows dropped by the kernel's presolve, over all solver runs."),
-		CutsAdded:        c("cuts_added", "Cut rows added to solves (separated fresh plus served from the pool)."),
-		CutsReused:       c("cuts_reused", "Cut rows served from a retained cut pool without re-separation."),
+		CutsAdded:        c("cuts_added", "Cut rows separated fresh for solves (disjoint from cuts_reused)."),
+		CutsReused:       c("cuts_reused", "Cut rows served from a retained cut pool without re-separation (disjoint from cuts_added)."),
 		CutTightenings:   c("cut_tightenings", "Variable fixings forced by cut rows during propagation."),
 
 		InstanceReuses:    c("instance_reuses", "Solves served from a session's live instance, the batch synced on as row deltas."),
