@@ -107,6 +107,9 @@ func (d colorDomain) ParseProblem(spec json.RawMessage) (any, error) {
 	if req.Vertices < 0 || req.K < 1 {
 		return nil, fmt.Errorf("coloring: need vertices ≥ 0 and k ≥ 1")
 	}
+	if err := domain.CheckColumns("coloring", req.Vertices, req.K); err != nil {
+		return nil, err
+	}
 	g := NewGraph(req.Vertices)
 	for i, e := range req.Edges {
 		u, v := e[0], e[1]

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"fmt"
 	"testing"
 
 	"ilpec/internal/domain"
@@ -129,5 +130,22 @@ func TestColoringEncodeDelta(t *testing.T) {
 		if _, ok := d.EncodeDelta(enc, p, batch); ok {
 			t.Fatalf("%s: expected rebuild fallback", name)
 		}
+	}
+}
+
+// TestParseProblemSizeBound pins that a coloring problem declaring more
+// vertex-color columns than domain.MaxColumns admits is rejected before
+// the graph is allocated.
+func TestParseProblemSizeBound(t *testing.T) {
+	for _, spec := range []string{
+		fmt.Sprintf(`{"vertices": %d, "k": 1}`, domain.MaxColumns),
+		fmt.Sprintf(`{"vertices": 0, "k": %d}`, domain.MaxColumns+1),
+	} {
+		if _, err := Domain().ParseProblem([]byte(spec)); err == nil {
+			t.Errorf("ParseProblem(%s) accepted a problem over the bound", spec)
+		}
+	}
+	if _, err := Domain().ParseProblem([]byte(fmt.Sprintf(`{"vertices": 0, "k": %d}`, domain.MaxColumns))); err != nil {
+		t.Errorf("problem at the bound rejected: %v", err)
 	}
 }

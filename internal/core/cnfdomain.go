@@ -110,7 +110,16 @@ func (d *cnfDomain) ParseProblem(spec json.RawMessage) (any, error) {
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("cnf: bad problem: %w", err)
 	}
-	return FormulaFromWire(req.DIMACS, req.Vars, req.Clauses)
+	f, err := FormulaFromWire(req.DIMACS, req.Vars, req.Clauses)
+	if err != nil {
+		return nil, err
+	}
+	// cnf.New does not allocate per variable: the encoding's two literal
+	// columns per variable are what the bound protects.
+	if err := domain.CheckColumns("cnf", f.NumVars, 2); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // FormulaFromWire builds a formula from the fields of the CNF problem wire

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ilpec/internal/cnf"
@@ -84,5 +85,24 @@ func TestCNFDomainFastRegionSizes(t *testing.T) {
 					stats.SubSize, subClauses(stats), stats.Escalations, tc.vars, tc.clauses, tc.escalations)
 			}
 		})
+	}
+}
+
+// TestParseProblemSizeBound pins that a CNF problem declaring more
+// variables than domain.MaxColumns admits is rejected at parse time,
+// whether by the vars field, the DIMACS header or a literal.
+func TestParseProblemSizeBound(t *testing.T) {
+	over := domain.MaxColumns / 2 // 2·(over+1) columns: the smallest count over the bound
+	for name, spec := range map[string]string{
+		"vars":    fmt.Sprintf(`{"vars": %d, "clauses": [[1]]}`, over),
+		"header":  fmt.Sprintf(`{"dimacs": "p cnf %d 1\n1 0\n"}`, over),
+		"literal": fmt.Sprintf(`{"clauses": [[1, -%d]]}`, over),
+	} {
+		if _, err := CNF().ParseProblem([]byte(spec)); err == nil {
+			t.Errorf("%s: ParseProblem(%s) accepted a problem over the bound", name, spec)
+		}
+	}
+	if _, err := CNF().ParseProblem([]byte(fmt.Sprintf(`{"vars": %d, "clauses": [[1]]}`, over-1))); err != nil {
+		t.Errorf("problem at the bound rejected: %v", err)
 	}
 }

@@ -110,6 +110,9 @@ func (d partDomain) ParseProblem(spec json.RawMessage) (any, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if err := domain.CheckColumns("partition", p.N, p.Blocks); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 

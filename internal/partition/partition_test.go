@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"testing"
 
 	"ilpec/internal/domain"
@@ -178,5 +179,22 @@ func TestFastRepartitionEscalationStaysPartial(t *testing.T) {
 	}
 	if a[1] != prev[1] || a[2] != prev[2] {
 		t.Fatalf("frozen vertices moved: %v from %v", a, prev)
+	}
+}
+
+// TestParseProblemSizeBound pins that a partitioning problem declaring
+// more vertex-block columns than domain.MaxColumns admits is rejected at
+// parse time.
+func TestParseProblemSizeBound(t *testing.T) {
+	for _, spec := range []string{
+		fmt.Sprintf(`{"vertices": %d, "blocks": 1, "edges": []}`, domain.MaxColumns),
+		fmt.Sprintf(`{"vertices": 0, "blocks": %d, "edges": []}`, domain.MaxColumns+1),
+	} {
+		if _, err := Domain().ParseProblem([]byte(spec)); err == nil {
+			t.Errorf("ParseProblem(%s) accepted a problem over the bound", spec)
+		}
+	}
+	if _, err := Domain().ParseProblem([]byte(fmt.Sprintf(`{"vertices": 0, "blocks": %d, "edges": []}`, domain.MaxColumns))); err != nil {
+		t.Errorf("problem at the bound rejected: %v", err)
 	}
 }

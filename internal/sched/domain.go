@@ -96,6 +96,9 @@ func (d schedDomain) ParseProblem(spec json.RawMessage) (any, error) {
 	if len(req.Capacity) == 0 || req.Steps < 1 {
 		return nil, fmt.Errorf("sched: need capacity and steps ≥ 1")
 	}
+	if err := domain.CheckColumns("sched", len(req.Types), req.Steps); err != nil {
+		return nil, err
+	}
 	p := NewProblem(req.Capacity, req.Steps)
 	for i, r := range req.Types {
 		if r < 0 || r >= len(req.Capacity) {

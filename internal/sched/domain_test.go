@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"ilpec/internal/domain"
@@ -148,5 +149,21 @@ func TestSchedEncodeDeltaVacuousCapacity(t *testing.T) {
 	}
 	if !delta.Empty() {
 		t.Fatalf("vacuous capacity change produced edits: %+v", delta)
+	}
+}
+
+// TestParseProblemSizeBound pins that a scheduling problem declaring a
+// horizon longer than domain.MaxColumns admits is rejected at parse time.
+func TestParseProblemSizeBound(t *testing.T) {
+	for _, spec := range []string{
+		fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [], "deps": []}`, domain.MaxColumns+1),
+		fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [0], "deps": []}`, domain.MaxColumns/2+1),
+	} {
+		if _, err := Domain().ParseProblem([]byte(spec)); err == nil {
+			t.Errorf("ParseProblem(%s) accepted a problem over the bound", spec)
+		}
+	}
+	if _, err := Domain().ParseProblem([]byte(fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [], "deps": []}`, domain.MaxColumns))); err != nil {
+		t.Errorf("problem at the bound rejected: %v", err)
 	}
 }

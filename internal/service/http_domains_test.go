@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"ilpec/internal/domain"
 )
 
 // errorBody is the structured error shape of the handler.
@@ -62,6 +64,12 @@ func TestHTTPStructuredErrors(t *testing.T) {
 		},
 		"bad problem": {
 			body:     map[string]any{"domain": "coloring", "problem": map[string]any{"vertices": -1, "k": 0}},
+			wantCode: "bad_problem",
+		},
+		// Declared counts that would encode past domain.MaxColumns are
+		// refused before anything sized by them is allocated.
+		"oversized problem": {
+			body:     map[string]any{"domain": "coloring", "problem": map[string]any{"vertices": domain.MaxColumns, "k": 1}},
 			wantCode: "bad_problem",
 		},
 		"missing problem": {
