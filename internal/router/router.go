@@ -409,17 +409,30 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics merges the router's counters with every ready node's
-// /v1/metrics, keyed by node id.
+// /v1/metrics, keyed by node id. A node that fails is left out.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ids, addrs := rt.readyNodes()
+	bodies := rt.fanOut(r, ids, addrs, "/v1/metrics")
 	perNode := make(map[string]json.RawMessage, len(ids))
-	var mu sync.Mutex
+	for i, data := range bodies {
+		if data != nil && json.Valid(data) {
+			perNode[ids[i]] = data
+		}
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"router": rt.Metrics(), "nodes": perNode})
+}
+
+// fanOut GETs path from every listed node concurrently and returns each
+// node's body in ids order; the body is nil when the request failed or
+// the node did not answer 200.
+func (rt *Router) fanOut(r *http.Request, ids []string, addrs map[string]string, path string) [][]byte {
+	bodies := make([][]byte, len(ids))
 	var wg sync.WaitGroup
-	for _, id := range ids {
+	for i, id := range ids {
 		wg.Add(1)
-		go func(id, addr string) {
+		go func(i int, url string) {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, addr+"/v1/metrics", nil)
+			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
 			if err != nil {
 				return
 			}
@@ -429,16 +442,13 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK || !json.Valid(data) {
-				return
+			if err == nil && resp.StatusCode == http.StatusOK {
+				bodies[i] = data
 			}
-			mu.Lock()
-			perNode[id] = data
-			mu.Unlock()
-		}(id, addrs[id])
+		}(i, addrs[id]+path)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, map[string]any{"router": rt.Metrics(), "nodes": perNode})
+	return bodies
 }
 
 // handleAny proxies a read to any ready node (domain registry is
@@ -483,61 +493,33 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = parsed
 	}
-	type result struct {
-		resp listResponse
-		ok   bool
+	path := "/v1/sessions"
+	if q := r.URL.RawQuery; q != "" {
+		path += "?" + q
 	}
-	results := make([]result, len(ids))
-	var wg sync.WaitGroup
-	for i := range ids {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			u := addr + "/v1/sessions"
-			if q := r.URL.RawQuery; q != "" {
-				u += "?" + q
-			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.opts.HTTP.Do(req)
-			if err != nil {
-				return
-			}
-			data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				return
-			}
-			if json.Unmarshal(data, &results[i].resp) == nil {
-				results[i].ok = true
-			}
-		}(i, addrs[ids[i]])
-	}
-	wg.Wait()
 
 	sessions := map[string]bool{}
 	liveSet := map[string]bool{}
 	degradedSet := map[string]bool{}
 	bound := "" // smallest cursor among truncated nodes
 	failed := 0
-	for _, res := range results {
-		if !res.ok {
+	for _, data := range rt.fanOut(r, ids, addrs, path) {
+		var resp listResponse
+		if data == nil || json.Unmarshal(data, &resp) != nil {
 			failed++
 			continue
 		}
-		for _, id := range res.resp.Sessions {
+		for _, id := range resp.Sessions {
 			sessions[id] = true
 		}
-		for _, id := range res.resp.Live {
+		for _, id := range resp.Live {
 			liveSet[id] = true
 		}
-		for _, id := range res.resp.Degraded {
+		for _, id := range resp.Degraded {
 			degradedSet[id] = true
 		}
-		if res.resp.Next != "" && (bound == "" || res.resp.Next < bound) {
-			bound = res.resp.Next
+		if resp.Next != "" && (bound == "" || resp.Next < bound) {
+			bound = resp.Next
 		}
 	}
 	if failed > 0 {

@@ -352,6 +352,35 @@ func TestListPartialFailureIs503(t *testing.T) {
 	}
 }
 
+// A metrics fan-out leaves out every node that fails (unreachable, or
+// answering non-200 or invalid JSON) and still answers 200 with the rest.
+func TestMetricsSkipsFailedNodes(t *testing.T) {
+	n1, n2, n3, n4 := newFakeNode(t, "n1"), newFakeNode(t, "n2"), newFakeNode(t, "n3"), newFakeNode(t, "n4")
+	n2.reply = func(string) (int, string) { return 200, `{"solves":3}` }
+	n3.reply = func(string) (int, string) { return 500, `{"solves":4}` }
+	n4.reply = func(string) (int, string) { return 200, `not json` }
+	_, front := newTestRouter(t, n1, n2, n3, n4)
+	n1.srv.Close()
+
+	resp, err := http.Get(front.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics = %d, want 200", resp.StatusCode)
+	}
+	var out struct {
+		Nodes map[string]json.RawMessage `json:"nodes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Nodes) != 1 || string(out.Nodes["n2"]) != `{"solves":3}` {
+		t.Fatalf("nodes = %v, want only n2", out.Nodes)
+	}
+}
+
 // Create failover through a lost response: the create commits on the
 // owner but the reply is lost, the replay on the successor answers 409
 // session_exists, and the router must recover the existing session as a
