@@ -11,7 +11,7 @@ import (
 )
 
 // This file adapts graph k-coloring to the generic domain.Domain
-// interface: the generic engine runs its fast and preserving EC, and its
+// interface through domain.Adapt: the generic engine runs its fast and preserving EC, and its
 // enabling EC shares the spare-color terms of SolveEnable. Problem values
 // are *coloring.Problem, solutions are Coloring, changes are
 // coloring.Change.
@@ -36,35 +36,19 @@ type Change struct {
 }
 
 // Domain returns the graph-coloring domain adapter.
-func Domain() domain.Domain { return colorDomain{} }
+func Domain() domain.Domain { return domain.Adapt(colorDomain{}) }
 
 func init() { domain.Register(Domain()) }
 
+// colorDomain is the typed adapter behind Domain.
 type colorDomain struct{}
 
 func (colorDomain) Name() string { return "coloring" }
 
-func (colorDomain) problem(p any) (*Problem, error) {
-	cp, ok := p.(*Problem)
-	if !ok || cp == nil || cp.G == nil {
-		return nil, fmt.Errorf("coloring: problem is %T, want *coloring.Problem", p)
-	}
-	return cp, nil
-}
+// Usable rejects a problem without a graph like one of the wrong type.
+func (colorDomain) Usable(cp *Problem) bool { return cp.G != nil }
 
-func (colorDomain) solution(s any) (Coloring, error) {
-	col, ok := s.(Coloring)
-	if !ok || col == nil {
-		return nil, fmt.Errorf("coloring: solution is %T, want coloring.Coloring", s)
-	}
-	return col, nil
-}
-
-func (d colorDomain) Validate(p any) error {
-	cp, err := d.problem(p)
-	if err != nil {
-		return err
-	}
+func (colorDomain) Validate(cp *Problem) error {
 	if cp.K < 1 {
 		return fmt.Errorf("coloring: palette size %d", cp.K)
 	}
@@ -74,21 +58,9 @@ func (d colorDomain) Validate(p any) error {
 	return nil
 }
 
-func (d colorDomain) CloneProblem(p any) any {
-	cp, err := d.problem(p)
-	if err != nil {
-		panic(err)
-	}
-	return cp.Clone()
-}
+func (colorDomain) CloneProblem(cp *Problem) *Problem { return cp.Clone() }
 
-func (d colorDomain) ProblemSize(p any) (int, int) {
-	cp, err := d.problem(p)
-	if err != nil {
-		return 0, 0
-	}
-	return cp.G.N, cp.G.NumEdges()
-}
+func (colorDomain) ProblemSize(cp *Problem) (int, int) { return cp.G.N, cp.G.NumEdges() }
 
 // problemJSON is the coloring wire form.
 type problemJSON struct {
@@ -97,7 +69,7 @@ type problemJSON struct {
 	Edges    [][2]int `json:"edges"`
 }
 
-func (d colorDomain) ParseProblem(spec json.RawMessage) (any, error) {
+func (colorDomain) ParseProblem(spec json.RawMessage) (*Problem, error) {
 	var req problemJSON
 	dec := json.NewDecoder(strings.NewReader(string(spec)))
 	dec.DisallowUnknownFields()
@@ -121,47 +93,29 @@ func (d colorDomain) ParseProblem(spec json.RawMessage) (any, error) {
 	return &Problem{G: g, K: req.K}, nil
 }
 
-func (d colorDomain) RenderProblem(p any) any {
-	cp, err := d.problem(p)
-	if err != nil {
-		return nil
-	}
+func (colorDomain) RenderProblem(cp *Problem) any {
 	return problemJSON{Vertices: cp.G.N, K: cp.K, Edges: cp.G.Edges()}
 }
 
-func (d colorDomain) ParseChange(spec json.RawMessage) (any, error) {
+func (colorDomain) ParseChange(spec json.RawMessage) (Change, error) {
 	var c Change
 	if err := json.Unmarshal(spec, &c); err != nil {
-		return nil, fmt.Errorf("coloring: bad change: %w", err)
+		return Change{}, fmt.Errorf("coloring: bad change: %w", err)
 	}
 	switch strings.ToLower(c.Kind) {
 	case "add-edge", "remove-edge", "add-vertex", "remove-vertex":
 		c.Kind = strings.ToLower(c.Kind)
 		return c, nil
 	default:
-		return nil, fmt.Errorf("coloring: unknown kind %q", c.Kind)
+		return Change{}, fmt.Errorf("coloring: unknown kind %q", c.Kind)
 	}
 }
 
-func (d colorDomain) RenderChange(change any) any {
-	c, ok := change.(Change)
-	if !ok {
-		return nil
-	}
-	return c
-}
+func (colorDomain) RenderChange(c Change) any { return c }
 
-func (d colorDomain) ApplyChanges(p any, changes []any) (any, error) {
-	cp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (colorDomain) ApplyChanges(cp *Problem, changes []Change) (*Problem, error) {
 	out := cp.Clone()
-	for i, raw := range changes {
-		c, ok := raw.(Change)
-		if !ok {
-			return nil, fmt.Errorf("coloring: change %d is %T, want coloring.Change", i, raw)
-		}
+	for i, c := range changes {
 		switch c.Kind {
 		case "add-edge":
 			if c.U == c.V || c.U < 1 || c.V < 1 || c.U > out.G.N || c.V > out.G.N {
@@ -186,30 +140,14 @@ func (d colorDomain) ApplyChanges(p any, changes []any) (any, error) {
 	return out, nil
 }
 
-func (colorDomain) Tightening(change any) bool {
-	c, ok := change.(Change)
-	// Only new edges can invalidate a coloring; vertex additions are
-	// colored greedily by ExtendSolution and removals only isolate.
-	return ok && c.Kind == "add-edge"
-}
+// Tightening: only new edges can invalidate a coloring; vertex
+// additions are colored greedily by ExtendSolution and removals only
+// isolate.
+func (colorDomain) Tightening(c Change) bool { return c.Kind == "add-edge" }
 
-func (d colorDomain) CloneSolution(s any) any {
-	col, err := d.solution(s)
-	if err != nil {
-		panic(err)
-	}
-	return col.Clone()
-}
+func (colorDomain) CloneSolution(col Coloring) Coloring { return col.Clone() }
 
-func (d colorDomain) ExtendSolution(p, prev any) (any, error) {
-	cp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	col, err := d.solution(prev)
-	if err != nil {
-		return nil, err
-	}
+func (colorDomain) ExtendSolution(cp *Problem, col Coloring) (Coloring, error) {
 	next := make(Coloring, cp.G.N+1)
 	copy(next, col)
 	for v := 1; v <= cp.G.N; v++ {
@@ -225,37 +163,21 @@ func (d colorDomain) ExtendSolution(p, prev any) (any, error) {
 	return next, nil
 }
 
-func (d colorDomain) Verify(p, s any) error {
-	cp, err := d.problem(p)
-	if err != nil {
-		return err
-	}
-	col, err := d.solution(s)
-	if err != nil {
-		return err
-	}
+func (colorDomain) Verify(cp *Problem, col Coloring) error {
 	if !col.Valid(cp.G, cp.K) {
 		return fmt.Errorf("coloring: invalid %d-coloring", cp.K)
 	}
 	return nil
 }
 
-func (d colorDomain) Render(p, s any) any {
-	col, err := d.solution(s)
-	if err != nil {
-		return nil
-	}
+func (colorDomain) Render(col Coloring) any {
 	if len(col) == 0 {
 		return []int{}
 	}
 	return []int(col[1:]) // per-vertex colors, vertex 1 first
 }
 
-func (d colorDomain) ParseSolution(p any, spec json.RawMessage) (any, error) {
-	cp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (colorDomain) ParseSolution(cp *Problem, spec json.RawMessage) (Coloring, error) {
 	var colors []int
 	if err := json.Unmarshal(spec, &colors); err != nil {
 		return nil, fmt.Errorf("coloring: bad solution: %w", err)
@@ -268,26 +190,11 @@ func (d colorDomain) ParseSolution(p any, spec json.RawMessage) (any, error) {
 	return col, nil
 }
 
-func (d colorDomain) Agreement(prev, next any) float64 {
-	pc, err1 := d.solution(prev)
-	nc, err2 := d.solution(next)
-	if err1 != nil || err2 != nil {
-		return 0
-	}
-	return nc.Agreement(pc)
-}
+func (colorDomain) Agreement(prev, next Coloring) float64 { return next.Agreement(prev) }
 
-func (colorDomain) DontCares(p, s any) int { return 0 }
+func (colorDomain) DontCares(Coloring) int { return 0 }
 
-func (d colorDomain) Flex(p, s any, k int) (domain.FlexReport, error) {
-	cp, err := d.problem(p)
-	if err != nil {
-		return domain.FlexReport{}, err
-	}
-	col, err := d.solution(s)
-	if err != nil {
-		return domain.FlexReport{}, err
-	}
+func (colorDomain) Flex(cp *Problem, col Coloring, k int) (domain.FlexReport, error) {
 	rep := VerifyFlexibility(cp.G, col, cp.K)
 	return domain.FlexReport{Total: rep.Total, Flexible: rep.WithSpare}, nil
 }
@@ -311,32 +218,16 @@ func (ce *colorEncoding) WarmStart(sol any) (ilp.Solution, bool) {
 	return ce.e.EncodeColoring(col), true
 }
 
-func (d colorDomain) Encode(p any) (domain.Encoding, error) {
-	cp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (colorDomain) Encode(cp *Problem) (*colorEncoding, error) {
 	return &colorEncoding{e: NewEncoding(cp.G, cp.K)}, nil
 }
 
-func (d colorDomain) PreserveTerms(enc domain.Encoding, p, prev any) error {
-	ce, ok := enc.(*colorEncoding)
-	if !ok {
-		return fmt.Errorf("coloring: encoding is %T", enc)
-	}
-	col, err := d.solution(prev)
-	if err != nil {
-		return err
-	}
-	addPreserveTerms(ce.e, col)
+func (colorDomain) PreserveTerms(ce *colorEncoding, prev Coloring) error {
+	addPreserveTerms(ce.e, prev)
 	return nil
 }
 
-func (d colorDomain) EnableTerms(enc domain.Encoding, p any, opts domain.EnableOptions) error {
-	ce, ok := enc.(*colorEncoding)
-	if !ok {
-		return fmt.Errorf("coloring: encoding is %T", enc)
-	}
+func (colorDomain) EnableTerms(ce *colorEncoding, opts domain.EnableOptions) error {
 	addEnableTerms(ce.e, opts.Hard, opts.Weight)
 	return nil
 }
@@ -359,26 +250,14 @@ func edgeRowNames(u, v, k int) []string {
 // edge removals (and vertex removals, which only isolate) drop them. A
 // batch containing add-vertex cannot be expressed as a delta — it grows
 // the variable set — so it reports ok=false and the caller re-encodes.
-func (d colorDomain) EncodeDelta(prev domain.Encoding, prevProblem any, changes []any) (*domain.Delta, bool) {
-	ce, ok := prev.(*colorEncoding)
-	if !ok {
-		return nil, false
-	}
-	cp, ok := prevProblem.(*Problem)
-	if !ok || cp == nil || cp.G == nil {
-		return nil, false
-	}
+func (colorDomain) EncodeDelta(ce *colorEncoding, cp *Problem, changes []Change) (*domain.Delta, bool) {
 	k := ce.e.K
 	if cp.K != k || cp.G.N != ce.e.Graph.N {
 		return nil, false // problem drifted off the encoding's variable set
 	}
 	g := cp.G.Clone() // working copy: validates sequential batches
 	out := &domain.Delta{}
-	for _, raw := range changes {
-		c, ok := raw.(Change)
-		if !ok {
-			return nil, false
-		}
+	for _, c := range changes {
 		switch c.Kind {
 		case "add-edge":
 			if c.U == c.V || c.U < 1 || c.V < 1 || c.U > g.N || c.V > g.N {
@@ -430,15 +309,7 @@ func (d colorDomain) EncodeDelta(prev domain.Encoding, prevProblem any, changes 
 
 // AffectedRegion recolors the conflicted, uncolored and out-of-palette
 // vertices with the rest frozen, absorbing neighbor rings on escalation.
-func (d colorDomain) AffectedRegion(p, prev any) (domain.Region, error) {
-	cp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	col, err := d.solution(prev)
-	if err != nil {
-		return nil, err
-	}
+func (colorDomain) AffectedRegion(cp *Problem, col Coloring) (domain.Region, error) {
 	region := map[int]bool{}
 	for _, e := range cp.G.Edges() {
 		if e[0] < len(col) && e[1] < len(col) && col[e[0]] != 0 && col[e[0]] == col[e[1]] {
@@ -472,12 +343,7 @@ func (d colorDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	}, nil
 }
 
-func (d colorDomain) FingerprintProblem(w io.Writer, p any) {
-	cp, err := d.problem(p)
-	if err != nil {
-		domain.WriteString(w, "coloring-bad-problem")
-		return
-	}
+func (colorDomain) FingerprintProblem(w io.Writer, cp *Problem) {
 	edges := cp.G.Edges()
 	domain.WriteInts(w, int64(cp.G.N), int64(cp.K), int64(len(edges)))
 	for _, e := range edges {
@@ -485,12 +351,7 @@ func (d colorDomain) FingerprintProblem(w io.Writer, p any) {
 	}
 }
 
-func (d colorDomain) FingerprintSolution(w io.Writer, s any) {
-	col, err := d.solution(s)
-	if err != nil {
-		domain.WriteString(w, "coloring-bad-solution")
-		return
-	}
+func (colorDomain) FingerprintSolution(w io.Writer, col Coloring) {
 	domain.WriteInts(w, int64(len(col)))
 	for _, c := range col {
 		domain.WriteInts(w, int64(c))

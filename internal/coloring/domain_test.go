@@ -63,7 +63,8 @@ func TestColoringDomainFastRecolorsLocally(t *testing.T) {
 // including in-batch add-then-remove cancellation, while vertex
 // additions fall back to a rebuild.
 func TestColoringEncodeDelta(t *testing.T) {
-	d := Domain().(colorDomain)
+	d := Domain()
+	de := d.(domain.DeltaEncoder)
 	g := NewGraph(5)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
@@ -77,7 +78,7 @@ func TestColoringEncodeDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, ok := d.EncodeDelta(enc, p, batch)
+		delta, ok := de.EncodeDelta(enc, p, batch)
 		if !ok {
 			t.Fatalf("%s: batch not delta-expressible", name)
 		}
@@ -127,7 +128,7 @@ func TestColoringEncodeDelta(t *testing.T) {
 		"absent-remove": {Change{Kind: "remove-edge", U: 1, V: 5}},
 		"bad-edge":      {Change{Kind: "add-edge", U: 0, V: 9}},
 	} {
-		if _, ok := d.EncodeDelta(enc, p, batch); ok {
+		if _, ok := de.EncodeDelta(enc, p, batch); ok {
 			t.Fatalf("%s: expected rebuild fallback", name)
 		}
 	}

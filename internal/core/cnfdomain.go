@@ -14,7 +14,7 @@ import (
 )
 
 // This file adapts the paper's primary SAT/set-cover instantiation to the
-// generic domain.Domain interface. Problem values are *cnf.Formula,
+// generic domain.Domain interface through domain.Adapt. Problem values are *cnf.Formula,
 // solutions are cnf.Assignment, and changes are core.Change; the EC triad
 // is carried by the Simplify/escalation machinery of this package.
 
@@ -38,37 +38,18 @@ type CNFOptions struct {
 func CNF() domain.Domain { return CNFWith(CNFOptions{}) }
 
 // CNFWith returns a CNF adapter with explicit EC policies.
-func CNFWith(opts CNFOptions) domain.Domain { return &cnfDomain{opts: opts} }
+func CNFWith(opts CNFOptions) domain.Domain { return domain.Adapt(&cnfDomain{opts: opts}) }
 
 func init() { domain.Register(CNF()) }
 
+// cnfDomain is the typed adapter behind CNFWith.
 type cnfDomain struct {
 	opts CNFOptions
 }
 
 func (d *cnfDomain) Name() string { return "cnf" }
 
-func (d *cnfDomain) problem(p any) (*cnf.Formula, error) {
-	f, ok := p.(*cnf.Formula)
-	if !ok || f == nil {
-		return nil, fmt.Errorf("cnf: problem is %T, want *cnf.Formula", p)
-	}
-	return f, nil
-}
-
-func (d *cnfDomain) solution(s any) (cnf.Assignment, error) {
-	a, ok := s.(cnf.Assignment)
-	if !ok || a == nil {
-		return nil, fmt.Errorf("cnf: solution is %T, want cnf.Assignment", s)
-	}
-	return a, nil
-}
-
-func (d *cnfDomain) Validate(p any) error {
-	f, err := d.problem(p)
-	if err != nil {
-		return err
-	}
+func (d *cnfDomain) Validate(f *cnf.Formula) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
@@ -78,21 +59,9 @@ func (d *cnfDomain) Validate(p any) error {
 	return nil
 }
 
-func (d *cnfDomain) CloneProblem(p any) any {
-	f, err := d.problem(p)
-	if err != nil {
-		panic(err)
-	}
-	return f.Clone()
-}
+func (d *cnfDomain) CloneProblem(f *cnf.Formula) *cnf.Formula { return f.Clone() }
 
-func (d *cnfDomain) ProblemSize(p any) (int, int) {
-	f, err := d.problem(p)
-	if err != nil {
-		return 0, 0
-	}
-	return f.NumVars, f.NumClauses()
-}
+func (d *cnfDomain) ProblemSize(f *cnf.Formula) (int, int) { return f.NumVars, f.NumClauses() }
 
 // cnfProblemJSON is the wire form of a CNF problem: a DIMACS string or a
 // clause list (plus an optional variable count for trailing unused
@@ -103,7 +72,7 @@ type cnfProblemJSON struct {
 	Clauses [][]int `json:"clauses,omitempty"`
 }
 
-func (d *cnfDomain) ParseProblem(spec json.RawMessage) (any, error) {
+func (d *cnfDomain) ParseProblem(spec json.RawMessage) (*cnf.Formula, error) {
 	var req cnfProblemJSON
 	dec := json.NewDecoder(strings.NewReader(string(spec)))
 	dec.DisallowUnknownFields()
@@ -162,11 +131,7 @@ func FormulaFromWire(dimacs string, vars int, clauses [][]int) (*cnf.Formula, er
 	return f, nil
 }
 
-func (d *cnfDomain) RenderProblem(p any) any {
-	f, err := d.problem(p)
-	if err != nil {
-		return nil
-	}
+func (d *cnfDomain) RenderProblem(f *cnf.Formula) any {
 	if f.NumVars == 0 && len(f.Clauses) == 0 {
 		// Both wire fields are omitempty, so the empty formula would render
 		// as {} — which ParseProblem rejects as "missing formula". Explicit
@@ -194,19 +159,19 @@ type cnfChangeJSON struct {
 	Var   int    `json:"var,omitempty"`
 }
 
-func (d *cnfDomain) ParseChange(spec json.RawMessage) (any, error) {
+func (d *cnfDomain) ParseChange(spec json.RawMessage) (Change, error) {
 	var cj cnfChangeJSON
 	if err := json.Unmarshal(spec, &cj); err != nil {
-		return nil, fmt.Errorf("cnf: bad change: %w", err)
+		return Change{}, fmt.Errorf("cnf: bad change: %w", err)
 	}
 	switch strings.ToLower(cj.Kind) {
 	case "add-clause":
 		if len(cj.Lits) == 0 {
-			return nil, fmt.Errorf("add-clause needs lits")
+			return Change{}, fmt.Errorf("add-clause needs lits")
 		}
 		for _, l := range cj.Lits {
 			if l == 0 {
-				return nil, fmt.Errorf("add-clause has a zero literal")
+				return Change{}, fmt.Errorf("add-clause has a zero literal")
 			}
 		}
 		return NewClause(cj.Lits...), nil
@@ -217,15 +182,11 @@ func (d *cnfDomain) ParseChange(spec json.RawMessage) (any, error) {
 	case "remove-variable":
 		return EliminateVariable(cj.Var), nil
 	default:
-		return nil, fmt.Errorf("unknown kind %q", cj.Kind)
+		return Change{}, fmt.Errorf("unknown kind %q", cj.Kind)
 	}
 }
 
-func (d *cnfDomain) RenderChange(change any) any {
-	c, ok := change.(Change)
-	if !ok {
-		return nil
-	}
+func (d *cnfDomain) RenderChange(c Change) any {
 	cj := cnfChangeJSON{Kind: c.Kind.String()}
 	switch c.Kind {
 	case AddClause:
@@ -241,44 +202,15 @@ func (d *cnfDomain) RenderChange(change any) any {
 	return cj
 }
 
-func (d *cnfDomain) ApplyChanges(p any, changes []any) (any, error) {
-	f, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	typed := make([]Change, len(changes))
-	for i, c := range changes {
-		ch, ok := c.(Change)
-		if !ok {
-			return nil, fmt.Errorf("cnf: change %d is %T, want core.Change", i, c)
-		}
-		typed[i] = ch
-	}
-	return Apply(f, typed)
+func (d *cnfDomain) ApplyChanges(f *cnf.Formula, changes []Change) (*cnf.Formula, error) {
+	return Apply(f, changes)
 }
 
-func (d *cnfDomain) Tightening(change any) bool {
-	c, ok := change.(Change)
-	return ok && c.Tightening()
-}
+func (d *cnfDomain) Tightening(c Change) bool { return c.Tightening() }
 
-func (d *cnfDomain) CloneSolution(s any) any {
-	a, err := d.solution(s)
-	if err != nil {
-		panic(err)
-	}
-	return a.Clone()
-}
+func (d *cnfDomain) CloneSolution(a cnf.Assignment) cnf.Assignment { return a.Clone() }
 
-func (d *cnfDomain) ExtendSolution(p, prev any) (any, error) {
-	f, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	a, err := d.solution(prev)
-	if err != nil {
-		return nil, err
-	}
+func (d *cnfDomain) ExtendSolution(f *cnf.Formula, a cnf.Assignment) (cnf.Assignment, error) {
 	next := a.Clone().Grow(f.NumVars)
 	if d.opts.FlexOnRelax {
 		next = IncreaseFlexibility(f, next).Assignment
@@ -286,26 +218,14 @@ func (d *cnfDomain) ExtendSolution(p, prev any) (any, error) {
 	return next, nil
 }
 
-func (d *cnfDomain) Verify(p, s any) error {
-	f, err := d.problem(p)
-	if err != nil {
-		return err
-	}
-	a, err := d.solution(s)
-	if err != nil {
-		return err
-	}
+func (d *cnfDomain) Verify(f *cnf.Formula, a cnf.Assignment) error {
 	if !a.Satisfies(f) {
 		return fmt.Errorf("cnf: assignment does not satisfy the formula")
 	}
 	return nil
 }
 
-func (d *cnfDomain) Render(p, s any) any {
-	a, err := d.solution(s)
-	if err != nil {
-		return nil
-	}
+func (d *cnfDomain) Render(a cnf.Assignment) any {
 	lits := make([]int, 0, a.AssignedCount())
 	for v := 1; v <= a.NumVars(); v++ {
 		switch a.Get(v) {
@@ -318,11 +238,7 @@ func (d *cnfDomain) Render(p, s any) any {
 	return lits
 }
 
-func (d *cnfDomain) ParseSolution(p any, spec json.RawMessage) (any, error) {
-	f, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (d *cnfDomain) ParseSolution(f *cnf.Formula, spec json.RawMessage) (cnf.Assignment, error) {
 	var lits []int
 	if err := json.Unmarshal(spec, &lits); err != nil {
 		return nil, fmt.Errorf("cnf: bad solution: %w", err)
@@ -342,32 +258,13 @@ func (d *cnfDomain) ParseSolution(p any, spec json.RawMessage) (any, error) {
 	return a, nil
 }
 
-func (d *cnfDomain) Agreement(prev, next any) float64 {
-	pa, err1 := d.solution(prev)
-	na, err2 := d.solution(next)
-	if err1 != nil || err2 != nil {
-		return 0
-	}
-	return na.PreservedFraction(pa)
+func (d *cnfDomain) Agreement(prev, next cnf.Assignment) float64 {
+	return next.PreservedFraction(prev)
 }
 
-func (d *cnfDomain) DontCares(p, s any) int {
-	a, err := d.solution(s)
-	if err != nil {
-		return 0
-	}
-	return a.DontCareCount()
-}
+func (d *cnfDomain) DontCares(a cnf.Assignment) int { return a.DontCareCount() }
 
-func (d *cnfDomain) Flex(p, s any, k int) (domain.FlexReport, error) {
-	f, err := d.problem(p)
-	if err != nil {
-		return domain.FlexReport{}, err
-	}
-	a, err := d.solution(s)
-	if err != nil {
-		return domain.FlexReport{}, err
-	}
+func (d *cnfDomain) Flex(f *cnf.Formula, a cnf.Assignment, k int) (domain.FlexReport, error) {
 	if k <= 0 {
 		k = 2
 	}
@@ -401,35 +298,17 @@ func (ce *cnfEncoding) WarmStart(sol any) (ilp.Solution, bool) {
 	return ce.e.EncodeAssignment(a.Clone().Grow(ce.e.NumVars)), true
 }
 
-func (d *cnfDomain) Encode(p any) (domain.Encoding, error) {
-	f, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (d *cnfDomain) Encode(f *cnf.Formula) (*cnfEncoding, error) {
 	return &cnfEncoding{e: encode.New(f)}, nil
 }
 
-func (d *cnfDomain) PreserveTerms(enc domain.Encoding, p, prev any) error {
-	ce, ok := enc.(*cnfEncoding)
-	if !ok {
-		return fmt.Errorf("cnf: encoding is %T", enc)
-	}
-	f, err := d.problem(p)
-	if err != nil {
-		return err
-	}
-	a, err := d.solution(prev)
-	if err != nil {
-		return err
-	}
-	return applyPreserveTerms(ce.e, f, a.Clone(), d.opts.Preserve)
+// PreserveTerms reads the formula from the encoding, which Encode built
+// from the same problem.
+func (d *cnfDomain) PreserveTerms(ce *cnfEncoding, prev cnf.Assignment) error {
+	return applyPreserveTerms(ce.e, ce.e.Formula, prev.Clone(), d.opts.Preserve)
 }
 
-func (d *cnfDomain) EnableTerms(enc domain.Encoding, p any, opts domain.EnableOptions) error {
-	ce, ok := enc.(*cnfEncoding)
-	if !ok {
-		return fmt.Errorf("cnf: encoding is %T", enc)
-	}
+func (d *cnfDomain) EnableTerms(ce *cnfEncoding, opts domain.EnableOptions) error {
 	eopts := d.opts.Enable
 	if opts.Hard {
 		eopts.Mode = EnableConstraints
@@ -460,15 +339,7 @@ type cnfRegion struct {
 	varOf []int
 }
 
-func (d *cnfDomain) AffectedRegion(p, prev any) (domain.Region, error) {
-	f, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	a, err := d.solution(prev)
-	if err != nil {
-		return nil, err
-	}
+func (d *cnfDomain) AffectedRegion(f *cnf.Formula, a cnf.Assignment) (domain.Region, error) {
 	if f.HasEmptyClause() {
 		return nil, fmt.Errorf("cnf: changed formula has an empty clause (unsatisfiable)")
 	}
@@ -570,12 +441,7 @@ func (se *cnfSubEncoding) WarmStart(sol any) (ilp.Solution, bool) {
 // FingerprintProblem and FingerprintSolution append every varint into one
 // buffer and write it once: the bytes are those of a domain.WriteInts per
 // value, without a hash-writer call per literal.
-func (d *cnfDomain) FingerprintProblem(w io.Writer, p any) {
-	f, err := d.problem(p)
-	if err != nil {
-		domain.WriteString(w, "cnf-bad-problem")
-		return
-	}
+func (d *cnfDomain) FingerprintProblem(w io.Writer, f *cnf.Formula) {
 	size := 2 * binary.MaxVarintLen64
 	for _, cl := range f.Clauses {
 		size += 1 + 2*len(cl)
@@ -592,12 +458,7 @@ func (d *cnfDomain) FingerprintProblem(w io.Writer, p any) {
 	w.Write(buf) //nolint:errcheck // hash writers never fail
 }
 
-func (d *cnfDomain) FingerprintSolution(w io.Writer, s any) {
-	a, err := d.solution(s)
-	if err != nil {
-		domain.WriteString(w, "cnf-bad-solution")
-		return
-	}
+func (d *cnfDomain) FingerprintSolution(w io.Writer, a cnf.Assignment) {
 	n := a.NumVars()
 	buf := make([]byte, 0, binary.MaxVarintLen64+n)
 	buf = binary.AppendVarint(buf, int64(n))

@@ -223,7 +223,9 @@ type FastStats struct {
 
 // Domain is one pluggable problem class. Problem, solution, and change
 // values are opaque to the engine; every method panics or errors when
-// handed a value of the wrong dynamic type (adapters document theirs).
+// handed a value of the wrong dynamic type. The built-in adapters are
+// written against Typed and get one treatment of such values from Adapt;
+// a custom adapter documents its own.
 //
 // All methods must be safe for concurrent use on distinct values; the
 // engine never mutates a problem or solution it passed in.

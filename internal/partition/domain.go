@@ -25,54 +25,23 @@ type Change struct {
 	Max int `json:"max,omitempty"`
 }
 
-// Domain returns the min-cut partitioning domain adapter.
-func Domain() domain.Domain { return partDomain{} }
+// Domain returns the min-cut partitioning domain adapter, built through
+// domain.Adapt: problem values are *partition.Problem, solutions are
+// Assignment, changes are partition.Change.
+func Domain() domain.Domain { return domain.Adapt(partDomain{}) }
 
 func init() { domain.Register(Domain()) }
 
+// partDomain is the typed adapter behind Domain.
 type partDomain struct{}
 
 func (partDomain) Name() string { return "partition" }
 
-func (partDomain) problem(p any) (*Problem, error) {
-	pp, ok := p.(*Problem)
-	if !ok || pp == nil {
-		return nil, fmt.Errorf("partition: problem is %T, want *partition.Problem", p)
-	}
-	return pp, nil
-}
+func (partDomain) Validate(pp *Problem) error { return pp.Validate() }
 
-func (partDomain) solution(s any) (Assignment, error) {
-	a, ok := s.(Assignment)
-	if !ok || a == nil {
-		return nil, fmt.Errorf("partition: solution is %T, want partition.Assignment", s)
-	}
-	return a, nil
-}
+func (partDomain) CloneProblem(pp *Problem) *Problem { return pp.Clone() }
 
-func (d partDomain) Validate(p any) error {
-	pp, err := d.problem(p)
-	if err != nil {
-		return err
-	}
-	return pp.Validate()
-}
-
-func (d partDomain) CloneProblem(p any) any {
-	pp, err := d.problem(p)
-	if err != nil {
-		panic(err)
-	}
-	return pp.Clone()
-}
-
-func (d partDomain) ProblemSize(p any) (int, int) {
-	pp, err := d.problem(p)
-	if err != nil {
-		return 0, 0
-	}
-	return pp.N, len(pp.Edges)
-}
+func (partDomain) ProblemSize(pp *Problem) (int, int) { return pp.N, len(pp.Edges) }
 
 // partProblemJSON is the partitioning wire form.
 type partProblemJSON struct {
@@ -84,7 +53,7 @@ type partProblemJSON struct {
 	Edges [][]float64 `json:"edges"`
 }
 
-func (d partDomain) ParseProblem(spec json.RawMessage) (any, error) {
+func (partDomain) ParseProblem(spec json.RawMessage) (*Problem, error) {
 	var req partProblemJSON
 	dec := json.NewDecoder(strings.NewReader(string(spec)))
 	dec.DisallowUnknownFields()
@@ -116,11 +85,7 @@ func (d partDomain) ParseProblem(spec json.RawMessage) (any, error) {
 	return p, nil
 }
 
-func (d partDomain) RenderProblem(p any) any {
-	pp, err := d.problem(p)
-	if err != nil {
-		return nil
-	}
+func (partDomain) RenderProblem(pp *Problem) any {
 	edges := make([][]float64, len(pp.Edges))
 	for i, e := range pp.Edges {
 		edges[i] = []float64{float64(e.U), float64(e.V), e.W}
@@ -134,39 +99,25 @@ func (d partDomain) RenderProblem(p any) any {
 	}
 }
 
-func (d partDomain) ParseChange(spec json.RawMessage) (any, error) {
+func (partDomain) ParseChange(spec json.RawMessage) (Change, error) {
 	var c Change
 	if err := json.Unmarshal(spec, &c); err != nil {
-		return nil, fmt.Errorf("partition: bad change: %w", err)
+		return Change{}, fmt.Errorf("partition: bad change: %w", err)
 	}
 	switch strings.ToLower(c.Kind) {
 	case "add-edge", "remove-edge", "add-vertex", "set-bounds":
 		c.Kind = strings.ToLower(c.Kind)
 		return c, nil
 	default:
-		return nil, fmt.Errorf("partition: unknown kind %q", c.Kind)
+		return Change{}, fmt.Errorf("partition: unknown kind %q", c.Kind)
 	}
 }
 
-func (d partDomain) RenderChange(change any) any {
-	c, ok := change.(Change)
-	if !ok {
-		return nil
-	}
-	return c
-}
+func (partDomain) RenderChange(c Change) any { return c }
 
-func (d partDomain) ApplyChanges(p any, changes []any) (any, error) {
-	pp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (partDomain) ApplyChanges(pp *Problem, changes []Change) (*Problem, error) {
 	out := pp.Clone()
-	for i, raw := range changes {
-		c, ok := raw.(Change)
-		if !ok {
-			return nil, fmt.Errorf("partition: change %d is %T, want partition.Change", i, raw)
-		}
+	for i, c := range changes {
 		switch c.Kind {
 		case "add-edge":
 			if c.U == c.V || c.U < 1 || c.V < 1 || c.U > out.N || c.V > out.N {
@@ -199,33 +150,15 @@ func (d partDomain) ApplyChanges(p any, changes []any) (any, error) {
 	return out, nil
 }
 
-func (partDomain) Tightening(change any) bool {
-	c, ok := change.(Change)
-	if !ok {
-		return false
-	}
+func (partDomain) Tightening(c Change) bool {
 	// Edge edits never invalidate a partition (only its cut quality);
 	// new vertices need placement and bound changes can break balance.
 	return c.Kind == "add-vertex" || c.Kind == "set-bounds"
 }
 
-func (d partDomain) CloneSolution(s any) any {
-	a, err := d.solution(s)
-	if err != nil {
-		panic(err)
-	}
-	return a.Clone()
-}
+func (partDomain) CloneSolution(a Assignment) Assignment { return a.Clone() }
 
-func (d partDomain) ExtendSolution(p, prev any) (any, error) {
-	pp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	a, err := d.solution(prev)
-	if err != nil {
-		return nil, err
-	}
+func (partDomain) ExtendSolution(pp *Problem, a Assignment) (Assignment, error) {
 	next := make(Assignment, pp.N+1)
 	copy(next, a)
 	if !next.Valid(pp) {
@@ -234,37 +167,21 @@ func (d partDomain) ExtendSolution(p, prev any) (any, error) {
 	return next, nil
 }
 
-func (d partDomain) Verify(p, s any) error {
-	pp, err := d.problem(p)
-	if err != nil {
-		return err
-	}
-	a, err := d.solution(s)
-	if err != nil {
-		return err
-	}
+func (partDomain) Verify(pp *Problem, a Assignment) error {
 	if !a.Valid(pp) {
 		return fmt.Errorf("partition: assignment violates placement or balance")
 	}
 	return nil
 }
 
-func (d partDomain) Render(p, s any) any {
-	a, err := d.solution(s)
-	if err != nil {
-		return nil
-	}
+func (partDomain) Render(a Assignment) any {
 	if len(a) == 0 {
 		return []int{}
 	}
 	return []int(a[1:]) // per-vertex blocks, vertex 1 first
 }
 
-func (d partDomain) ParseSolution(p any, spec json.RawMessage) (any, error) {
-	pp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (partDomain) ParseSolution(pp *Problem, spec json.RawMessage) (Assignment, error) {
 	var blocks []int
 	if err := json.Unmarshal(spec, &blocks); err != nil {
 		return nil, fmt.Errorf("partition: bad solution: %w", err)
@@ -277,29 +194,14 @@ func (d partDomain) ParseSolution(p any, spec json.RawMessage) (any, error) {
 	return a, nil
 }
 
-func (d partDomain) Agreement(prev, next any) float64 {
-	pa, err1 := d.solution(prev)
-	na, err2 := d.solution(next)
-	if err1 != nil || err2 != nil {
-		return 0
-	}
-	return pa.Agreement(na)
-}
+func (partDomain) Agreement(prev, next Assignment) float64 { return prev.Agreement(next) }
 
-func (partDomain) DontCares(p, s any) int { return 0 }
+func (partDomain) DontCares(Assignment) int { return 0 }
 
 // Flex audits move freedom: a vertex is flexible when some other block
 // has size headroom and its own block stays above the lower bound after
 // the move.
-func (d partDomain) Flex(p, s any, k int) (domain.FlexReport, error) {
-	pp, err := d.problem(p)
-	if err != nil {
-		return domain.FlexReport{}, err
-	}
-	a, err := d.solution(s)
-	if err != nil {
-		return domain.FlexReport{}, err
-	}
+func (partDomain) Flex(pp *Problem, a Assignment, k int) (domain.FlexReport, error) {
 	sizes := a.BlockSizes(pp)
 	rep := domain.FlexReport{Total: pp.N}
 	for v := 1; v <= pp.N; v++ {
@@ -339,23 +241,11 @@ func (pe *partEncoding) WarmStart(sol any) (ilp.Solution, bool) {
 	return pe.e.EncodeAssignment(a), true
 }
 
-func (d partDomain) Encode(p any) (domain.Encoding, error) {
-	pp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (partDomain) Encode(pp *Problem) (*partEncoding, error) {
 	return &partEncoding{e: NewEncoding(pp)}, nil
 }
 
-func (d partDomain) PreserveTerms(enc domain.Encoding, p, prev any) error {
-	pe, ok := enc.(*partEncoding)
-	if !ok {
-		return fmt.Errorf("partition: encoding is %T", enc)
-	}
-	a, err := d.solution(prev)
-	if err != nil {
-		return err
-	}
+func (partDomain) PreserveTerms(pe *partEncoding, a Assignment) error {
 	e, pp := pe.e, pe.e.Problem
 	// Preservation replaces the cut objective entirely (§7 analogue).
 	for i := range pp.Edges {
@@ -372,11 +262,7 @@ func (d partDomain) PreserveTerms(enc domain.Encoding, p, prev any) error {
 // EnableTerms rewards vertices that keep a spare block: s_{v,b} may be 1
 // only when v is not in b and block b retains headroom even with v added;
 // flex_v ≤ Σ_b s_{v,b} earns weight w.
-func (d partDomain) EnableTerms(enc domain.Encoding, p any, opts domain.EnableOptions) error {
-	pe, ok := enc.(*partEncoding)
-	if !ok {
-		return fmt.Errorf("partition: encoding is %T", enc)
-	}
+func (partDomain) EnableTerms(pe *partEncoding, opts domain.EnableOptions) error {
 	w := opts.Weight
 	if w <= 0 {
 		w = 1
@@ -408,15 +294,7 @@ func (d partDomain) EnableTerms(enc domain.Encoding, p any, opts domain.EnableOp
 
 // AffectedRegion re-places unbalanced and unplaced vertices with the
 // rest frozen, absorbing netlist neighbor rings on escalation.
-func (d partDomain) AffectedRegion(p, prev any) (domain.Region, error) {
-	pp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	a, err := d.solution(prev)
-	if err != nil {
-		return nil, err
-	}
+func (partDomain) AffectedRegion(pp *Problem, a Assignment) (domain.Region, error) {
 	grown := make(Assignment, pp.N+1)
 	copy(grown, a)
 	region := map[int]bool{}
@@ -455,12 +333,7 @@ func (d partDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	}, nil
 }
 
-func (d partDomain) FingerprintProblem(w io.Writer, p any) {
-	pp, err := d.problem(p)
-	if err != nil {
-		domain.WriteString(w, "partition-bad-problem")
-		return
-	}
+func (partDomain) FingerprintProblem(w io.Writer, pp *Problem) {
 	domain.WriteInts(w, int64(pp.N), int64(pp.Blocks), int64(pp.MinSize), int64(pp.MaxSize), int64(len(pp.Edges)))
 	for _, e := range pp.Edges {
 		domain.WriteInts(w, int64(e.U), int64(e.V))
@@ -468,12 +341,7 @@ func (d partDomain) FingerprintProblem(w io.Writer, p any) {
 	}
 }
 
-func (d partDomain) FingerprintSolution(w io.Writer, s any) {
-	a, err := d.solution(s)
-	if err != nil {
-		domain.WriteString(w, "partition-bad-solution")
-		return
-	}
+func (partDomain) FingerprintSolution(w io.Writer, a Assignment) {
 	domain.WriteInts(w, int64(len(a)))
 	for _, b := range a {
 		domain.WriteInts(w, int64(b))

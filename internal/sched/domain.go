@@ -11,7 +11,7 @@ import (
 )
 
 // This file adapts resource-constrained scheduling to the generic
-// domain.Domain interface: the generic engine runs its fast and
+// domain.Domain interface through domain.Adapt: the generic engine runs its fast and
 // preserving EC, and its enabling EC shares the spare-slot terms of
 // SolveEnabled. Problem values are *sched.Problem, solutions are
 // Schedule, changes are sched.Change.
@@ -30,53 +30,20 @@ type Change struct {
 }
 
 // Domain returns the scheduling domain adapter.
-func Domain() domain.Domain { return schedDomain{} }
+func Domain() domain.Domain { return domain.Adapt(schedDomain{}) }
 
 func init() { domain.Register(Domain()) }
 
+// schedDomain is the typed adapter behind Domain.
 type schedDomain struct{}
 
 func (schedDomain) Name() string { return "sched" }
 
-func (schedDomain) problem(p any) (*Problem, error) {
-	sp, ok := p.(*Problem)
-	if !ok || sp == nil {
-		return nil, fmt.Errorf("sched: problem is %T, want *sched.Problem", p)
-	}
-	return sp, nil
-}
+func (schedDomain) Validate(sp *Problem) error { return sp.Validate() }
 
-func (schedDomain) solution(s any) (Schedule, error) {
-	sc, ok := s.(Schedule)
-	if !ok || sc == nil {
-		return nil, fmt.Errorf("sched: solution is %T, want sched.Schedule", s)
-	}
-	return sc, nil
-}
+func (schedDomain) CloneProblem(sp *Problem) *Problem { return sp.Clone() }
 
-func (d schedDomain) Validate(p any) error {
-	sp, err := d.problem(p)
-	if err != nil {
-		return err
-	}
-	return sp.Validate()
-}
-
-func (d schedDomain) CloneProblem(p any) any {
-	sp, err := d.problem(p)
-	if err != nil {
-		panic(err)
-	}
-	return sp.Clone()
-}
-
-func (d schedDomain) ProblemSize(p any) (int, int) {
-	sp, err := d.problem(p)
-	if err != nil {
-		return 0, 0
-	}
-	return sp.NumOps, len(sp.Deps)
-}
+func (schedDomain) ProblemSize(sp *Problem) (int, int) { return sp.NumOps, len(sp.Deps) }
 
 // schedProblemJSON is the scheduling wire form.
 type schedProblemJSON struct {
@@ -86,7 +53,7 @@ type schedProblemJSON struct {
 	Deps     [][2]int `json:"deps"`
 }
 
-func (d schedDomain) ParseProblem(spec json.RawMessage) (any, error) {
+func (schedDomain) ParseProblem(spec json.RawMessage) (*Problem, error) {
 	var req schedProblemJSON
 	dec := json.NewDecoder(strings.NewReader(string(spec)))
 	dec.DisallowUnknownFields()
@@ -115,11 +82,7 @@ func (d schedDomain) ParseProblem(spec json.RawMessage) (any, error) {
 	return p, nil
 }
 
-func (d schedDomain) RenderProblem(p any) any {
-	sp, err := d.problem(p)
-	if err != nil {
-		return nil
-	}
+func (schedDomain) RenderProblem(sp *Problem) any {
 	return schedProblemJSON{
 		Capacity: append([]int(nil), sp.Capacity...),
 		Steps:    sp.Steps,
@@ -128,39 +91,25 @@ func (d schedDomain) RenderProblem(p any) any {
 	}
 }
 
-func (d schedDomain) ParseChange(spec json.RawMessage) (any, error) {
+func (schedDomain) ParseChange(spec json.RawMessage) (Change, error) {
 	var c Change
 	if err := json.Unmarshal(spec, &c); err != nil {
-		return nil, fmt.Errorf("sched: bad change: %w", err)
+		return Change{}, fmt.Errorf("sched: bad change: %w", err)
 	}
 	switch strings.ToLower(c.Kind) {
 	case "add-op", "add-dep", "remove-dep", "set-capacity":
 		c.Kind = strings.ToLower(c.Kind)
 		return c, nil
 	default:
-		return nil, fmt.Errorf("sched: unknown kind %q", c.Kind)
+		return Change{}, fmt.Errorf("sched: unknown kind %q", c.Kind)
 	}
 }
 
-func (d schedDomain) RenderChange(change any) any {
-	c, ok := change.(Change)
-	if !ok {
-		return nil
-	}
-	return c
-}
+func (schedDomain) RenderChange(c Change) any { return c }
 
-func (d schedDomain) ApplyChanges(p any, changes []any) (any, error) {
-	sp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (schedDomain) ApplyChanges(sp *Problem, changes []Change) (*Problem, error) {
 	out := sp.Clone()
-	for i, raw := range changes {
-		c, ok := raw.(Change)
-		if !ok {
-			return nil, fmt.Errorf("sched: change %d is %T, want sched.Change", i, raw)
-		}
+	for i, c := range changes {
 		switch c.Kind {
 		case "add-op":
 			if c.Type < 0 || c.Type >= len(out.Capacity) {
@@ -188,68 +137,32 @@ func (d schedDomain) ApplyChanges(p any, changes []any) (any, error) {
 	return out, nil
 }
 
-func (schedDomain) Tightening(change any) bool {
-	c, ok := change.(Change)
-	if !ok {
-		return false
-	}
+func (schedDomain) Tightening(c Change) bool {
 	// Removing a dependency never invalidates a schedule; everything else
 	// can (set-capacity is conservatively tightening — the new capacity
 	// may be lower).
 	return c.Kind != "remove-dep"
 }
 
-func (d schedDomain) CloneSolution(s any) any {
-	sc, err := d.solution(s)
-	if err != nil {
-		panic(err)
-	}
-	return sc.Clone()
-}
+func (schedDomain) CloneSolution(sc Schedule) Schedule { return sc.Clone() }
 
-func (d schedDomain) ExtendSolution(p, prev any) (any, error) {
-	sp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := d.solution(prev)
-	if err != nil {
-		return nil, err
-	}
+func (schedDomain) ExtendSolution(sp *Problem, sc Schedule) (Schedule, error) {
 	if len(sc) != sp.NumOps {
 		return nil, fmt.Errorf("sched: cannot extend schedule of %d ops to %d", len(sc), sp.NumOps)
 	}
 	return sc.Clone(), nil
 }
 
-func (d schedDomain) Verify(p, s any) error {
-	sp, err := d.problem(p)
-	if err != nil {
-		return err
-	}
-	sc, err := d.solution(s)
-	if err != nil {
-		return err
-	}
+func (schedDomain) Verify(sp *Problem, sc Schedule) error {
 	if !sc.Valid(sp) {
 		return fmt.Errorf("sched: invalid schedule")
 	}
 	return nil
 }
 
-func (d schedDomain) Render(p, s any) any {
-	sc, err := d.solution(s)
-	if err != nil {
-		return nil
-	}
-	return []int(sc)
-}
+func (schedDomain) Render(sc Schedule) any { return []int(sc) }
 
-func (d schedDomain) ParseSolution(p any, spec json.RawMessage) (any, error) {
-	sp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (schedDomain) ParseSolution(sp *Problem, spec json.RawMessage) (Schedule, error) {
 	var steps []int
 	if err := json.Unmarshal(spec, &steps); err != nil {
 		return nil, fmt.Errorf("sched: bad solution: %w", err)
@@ -260,26 +173,11 @@ func (d schedDomain) ParseSolution(p any, spec json.RawMessage) (any, error) {
 	return Schedule(append([]int(nil), steps...)), nil
 }
 
-func (d schedDomain) Agreement(prev, next any) float64 {
-	ps, err1 := d.solution(prev)
-	ns, err2 := d.solution(next)
-	if err1 != nil || err2 != nil {
-		return 0
-	}
-	return ps.Agreement(ns)
-}
+func (schedDomain) Agreement(prev, next Schedule) float64 { return prev.Agreement(next) }
 
-func (schedDomain) DontCares(p, s any) int { return 0 }
+func (schedDomain) DontCares(Schedule) int { return 0 }
 
-func (d schedDomain) Flex(p, s any, k int) (domain.FlexReport, error) {
-	sp, err := d.problem(p)
-	if err != nil {
-		return domain.FlexReport{}, err
-	}
-	sc, err := d.solution(s)
-	if err != nil {
-		return domain.FlexReport{}, err
-	}
+func (schedDomain) Flex(sp *Problem, sc Schedule, k int) (domain.FlexReport, error) {
 	if !sc.Valid(sp) {
 		return domain.FlexReport{}, fmt.Errorf("sched: flex audit needs a valid schedule")
 	}
@@ -306,32 +204,16 @@ func (se *schedEncoding) WarmStart(sol any) (ilp.Solution, bool) {
 	return se.e.EncodeSchedule(sc), true
 }
 
-func (d schedDomain) Encode(p any) (domain.Encoding, error) {
-	sp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
+func (schedDomain) Encode(sp *Problem) (*schedEncoding, error) {
 	return &schedEncoding{e: NewEncoding(sp)}, nil
 }
 
-func (d schedDomain) PreserveTerms(enc domain.Encoding, p, prev any) error {
-	se, ok := enc.(*schedEncoding)
-	if !ok {
-		return fmt.Errorf("sched: encoding is %T", enc)
-	}
-	sc, err := d.solution(prev)
-	if err != nil {
-		return err
-	}
-	addPreserveTerms(se.e, sc)
+func (schedDomain) PreserveTerms(se *schedEncoding, prev Schedule) error {
+	addPreserveTerms(se.e, prev)
 	return nil
 }
 
-func (d schedDomain) EnableTerms(enc domain.Encoding, p any, opts domain.EnableOptions) error {
-	se, ok := enc.(*schedEncoding)
-	if !ok {
-		return fmt.Errorf("sched: encoding is %T", enc)
-	}
+func (schedDomain) EnableTerms(se *schedEncoding, opts domain.EnableOptions) error {
 	w := opts.Weight
 	if w <= 0 {
 		w = 1
@@ -348,26 +230,14 @@ func (d schedDomain) EnableTerms(enc domain.Encoding, p any, opts domain.EnableO
 // change edits nothing). add-op grows the variable set and duplicate
 // dependencies would collide by row name; both report ok=false so the
 // caller falls back to a full re-encode.
-func (d schedDomain) EncodeDelta(prev domain.Encoding, prevProblem any, changes []any) (*domain.Delta, bool) {
-	se, ok := prev.(*schedEncoding)
-	if !ok {
-		return nil, false
-	}
-	sp, ok := prevProblem.(*Problem)
-	if !ok || sp == nil {
-		return nil, false
-	}
+func (schedDomain) EncodeDelta(se *schedEncoding, sp *Problem, changes []Change) (*domain.Delta, bool) {
 	if sp.NumOps != se.e.Problem.NumOps || sp.Steps != se.e.Problem.Steps ||
 		len(sp.Capacity) != len(se.e.Problem.Capacity) {
 		return nil, false // problem drifted off the encoding's variable set
 	}
 	work := sp.Clone() // working copy: validates sequential batches
 	out := &domain.Delta{}
-	for _, raw := range changes {
-		c, ok := raw.(Change)
-		if !ok {
-			return nil, false
-		}
+	for _, c := range changes {
 		switch c.Kind {
 		case "add-dep":
 			if c.From < 0 || c.From >= work.NumOps || c.To < 0 || c.To >= work.NumOps || c.From == c.To {
@@ -428,15 +298,7 @@ func hasDep(p *Problem, from, to int) bool {
 
 // AffectedRegion re-places the disturbed cone with the rest frozen,
 // absorbing dependency neighborhoods on escalation.
-func (d schedDomain) AffectedRegion(p, prev any) (domain.Region, error) {
-	sp, err := d.problem(p)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := d.solution(prev)
-	if err != nil {
-		return nil, err
-	}
+func (schedDomain) AffectedRegion(sp *Problem, sc Schedule) (domain.Region, error) {
 	grown := sc.Clone()
 	for len(grown) < sp.NumOps {
 		grown = append(grown, -1) // newly added operations join the region
@@ -501,12 +363,7 @@ func (d schedDomain) AffectedRegion(p, prev any) (domain.Region, error) {
 	}, nil
 }
 
-func (d schedDomain) FingerprintProblem(w io.Writer, p any) {
-	sp, err := d.problem(p)
-	if err != nil {
-		domain.WriteString(w, "sched-bad-problem")
-		return
-	}
+func (schedDomain) FingerprintProblem(w io.Writer, sp *Problem) {
 	domain.WriteInts(w, int64(sp.NumOps), int64(sp.Steps), int64(len(sp.Capacity)), int64(len(sp.Deps)))
 	for _, c := range sp.Capacity {
 		domain.WriteInts(w, int64(c))
@@ -519,12 +376,7 @@ func (d schedDomain) FingerprintProblem(w io.Writer, p any) {
 	}
 }
 
-func (d schedDomain) FingerprintSolution(w io.Writer, s any) {
-	sc, err := d.solution(s)
-	if err != nil {
-		domain.WriteString(w, "sched-bad-solution")
-		return
-	}
+func (schedDomain) FingerprintSolution(w io.Writer, sc Schedule) {
 	domain.WriteInts(w, int64(len(sc)))
 	for _, t := range sc {
 		domain.WriteInts(w, int64(t))

@@ -64,7 +64,8 @@ func TestSchedDomainFastPlacesNewOp(t *testing.T) {
 // a live instance as the exact model a re-encode would build, while
 // add-op and duplicate dependencies fall back.
 func TestSchedEncodeDelta(t *testing.T) {
-	d := Domain().(schedDomain)
+	d := Domain()
+	de := d.(domain.DeltaEncoder)
 	p := NewProblem([]int{2, 1}, 4)
 	for _, r := range []int{0, 0, 1, 0, 1} {
 		p.AddOp(r)
@@ -78,7 +79,7 @@ func TestSchedEncodeDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, ok := d.EncodeDelta(enc, p, batch)
+		delta, ok := de.EncodeDelta(enc, p, batch)
 		if !ok {
 			t.Fatalf("%s: batch not delta-expressible", name)
 		}
@@ -126,7 +127,7 @@ func TestSchedEncodeDelta(t *testing.T) {
 		"duplicate-dep": {Change{Kind: "add-dep", From: 0, To: 2}},
 		"absent-remove": {Change{Kind: "remove-dep", From: 4, To: 0}},
 	} {
-		if _, ok := d.EncodeDelta(enc, p, batch); ok {
+		if _, ok := de.EncodeDelta(enc, p, batch); ok {
 			t.Fatalf("%s: expected rebuild fallback", name)
 		}
 	}
@@ -135,7 +136,8 @@ func TestSchedEncodeDelta(t *testing.T) {
 // TestSchedEncodeDeltaVacuousCapacity pins that a capacity change for a
 // type no operation uses edits nothing (the encoding omits those rows).
 func TestSchedEncodeDeltaVacuousCapacity(t *testing.T) {
-	d := Domain().(schedDomain)
+	d := Domain()
+	de := d.(domain.DeltaEncoder)
 	p := NewProblem([]int{1, 1}, 3)
 	p.AddOp(0)
 	p.AddOp(0)
@@ -143,7 +145,7 @@ func TestSchedEncodeDeltaVacuousCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, ok := d.EncodeDelta(enc, p, []any{Change{Kind: "set-capacity", Type: 1, Capacity: 3}})
+	delta, ok := de.EncodeDelta(enc, p, []any{Change{Kind: "set-capacity", Type: 1, Capacity: 3}})
 	if !ok {
 		t.Fatal("vacuous capacity change should be delta-expressible")
 	}
