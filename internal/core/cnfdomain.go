@@ -14,9 +14,10 @@ import (
 )
 
 // This file adapts the paper's primary SAT/set-cover instantiation to the
-// generic domain.Domain interface through domain.Adapt. Problem values are *cnf.Formula,
-// solutions are cnf.Assignment, and changes are core.Change; the EC triad
-// is carried by the Simplify/escalation machinery of this package.
+// generic domain.Domain interface through domain.Adapt. Problem values
+// are *cnf.Formula, solutions are cnf.Assignment, and changes are
+// core.Change; the EC triad is carried by the Simplify/escalation
+// machinery of this package.
 
 // CNFOptions tunes the CNF adapter beyond the generic engine knobs.
 type CNFOptions struct {

@@ -109,22 +109,26 @@ func untyped[T any](v T, err error) (any, error) {
 	return v, nil
 }
 
+// conv asserts v to T like as, naming what v is in the error.
+func conv[T any](name, what string, v any) (T, error) {
+	t, ok := as[T](v)
+	if !ok {
+		return t, fmt.Errorf("%s: %s is %T, want %T", name, what, v, t)
+	}
+	return t, nil
+}
+
 func (a *adapter[P, S, C, E]) problem(v any) (P, error) {
-	p, ok := as[P](v)
-	if !ok || (a.usable != nil && !a.usable(p)) {
+	p, err := conv[P](a.name, "problem", v)
+	if err == nil && a.usable != nil && !a.usable(p) {
 		var zero P
 		return zero, fmt.Errorf("%s: problem is %T, want %T", a.name, v, zero)
 	}
-	return p, nil
+	return p, err
 }
 
 func (a *adapter[P, S, C, E]) solution(v any) (S, error) {
-	s, ok := as[S](v)
-	if !ok {
-		var zero S
-		return zero, fmt.Errorf("%s: solution is %T, want %T", a.name, v, zero)
-	}
-	return s, nil
+	return conv[S](a.name, "solution", v)
 }
 
 // both converts a problem and a solution.
@@ -139,12 +143,7 @@ func (a *adapter[P, S, C, E]) both(problem, sol any) (P, S, error) {
 }
 
 func (a *adapter[P, S, C, E]) encoding(v Encoding) (E, error) {
-	e, ok := as[E](v)
-	if !ok {
-		var zero E
-		return zero, fmt.Errorf("%s: encoding is %T, want %T", a.name, v, zero)
-	}
-	return e, nil
+	return conv[E](a.name, "encoding", v)
 }
 
 func (a *adapter[P, S, C, E]) changes(vs []any) ([]C, error) {
@@ -152,8 +151,7 @@ func (a *adapter[P, S, C, E]) changes(vs []any) ([]C, error) {
 	for i, v := range vs {
 		c, ok := as[C](v)
 		if !ok {
-			var zero C
-			return nil, fmt.Errorf("%s: change %d is %T, want %T", a.name, i, v, zero)
+			return nil, fmt.Errorf("%s: change %d is %T, want %T", a.name, i, v, c)
 		}
 		cs[i] = c
 	}

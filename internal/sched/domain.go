@@ -11,10 +11,10 @@ import (
 )
 
 // This file adapts resource-constrained scheduling to the generic
-// domain.Domain interface through domain.Adapt: the generic engine runs its fast and
-// preserving EC, and its enabling EC shares the spare-slot terms of
-// SolveEnabled. Problem values are *sched.Problem, solutions are
-// Schedule, changes are sched.Change.
+// domain.Domain interface through domain.Adapt: the generic engine runs
+// its fast and preserving EC, and its enabling EC shares the spare-slot
+// terms of SolveEnabled. Problem values are *sched.Problem, solutions
+// are Schedule, changes are sched.Change.
 
 // Change is one scheduling specification change.
 type Change struct {

@@ -8,9 +8,10 @@ import (
 )
 
 // TestSessionKeysPinned pins the solve-cache task key and the incumbent
-// problem key of one CNF session state. Both are persisted across the
-// fleet (peer cache peeks, the incumbent store), so a faster fingerprint
-// must hash exactly the same bytes.
+// problem key of one CNF session state. The task key is shared across
+// the fleet (peer cache peeks); the problem key is used only by this
+// process's incumbent store and is never persisted. A faster fingerprint
+// must still hash exactly the same bytes for both.
 func TestSessionKeysPinned(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
