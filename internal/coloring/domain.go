@@ -113,9 +113,9 @@ func (colorDomain) ParseChange(spec json.RawMessage) (Change, error) {
 
 func (colorDomain) RenderChange(c Change) any { return c }
 
-func (colorDomain) ApplyChanges(cp *Problem, changes []Change) (*Problem, error) {
+func (colorDomain) ApplyChanges(cp *Problem, changes domain.Changes[Change]) (*Problem, error) {
 	out := cp.Clone()
-	for i, c := range changes {
+	for i, c := range changes.All() {
 		switch c.Kind {
 		case "add-edge":
 			if c.U == c.V || c.U < 1 || c.V < 1 || c.U > out.G.N || c.V > out.G.N {
@@ -250,14 +250,14 @@ func edgeRowNames(u, v, k int) []string {
 // edge removals (and vertex removals, which only isolate) drop them. A
 // batch containing add-vertex cannot be expressed as a delta — it grows
 // the variable set — so it reports ok=false and the caller re-encodes.
-func (colorDomain) EncodeDelta(ce *colorEncoding, cp *Problem, changes []Change) (*domain.Delta, bool) {
+func (colorDomain) EncodeDelta(ce *colorEncoding, cp *Problem, changes domain.Changes[Change]) (*domain.Delta, bool) {
 	k := ce.e.K
 	if cp.K != k || cp.G.N != ce.e.Graph.N {
 		return nil, false // problem drifted off the encoding's variable set
 	}
 	g := cp.G.Clone() // working copy: validates sequential batches
 	out := &domain.Delta{}
-	for _, c := range changes {
+	for _, c := range changes.All() {
 		switch c.Kind {
 		case "add-edge":
 			if c.U == c.V || c.U < 1 || c.V < 1 || c.U > g.N || c.V > g.N {

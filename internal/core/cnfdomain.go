@@ -203,8 +203,8 @@ func (d *cnfDomain) RenderChange(c Change) any {
 	return cj
 }
 
-func (d *cnfDomain) ApplyChanges(f *cnf.Formula, changes []Change) (*cnf.Formula, error) {
-	return Apply(f, changes)
+func (d *cnfDomain) ApplyChanges(f *cnf.Formula, changes domain.Changes[Change]) (*cnf.Formula, error) {
+	return Apply(f, changes.Slice())
 }
 
 func (d *cnfDomain) Tightening(c Change) bool { return c.Tightening() }

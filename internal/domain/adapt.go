@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"reflect"
 )
 
@@ -25,7 +26,7 @@ type Typed[P, S, C any, E Encoding] interface {
 	RenderProblem(problem P) any
 	ParseChange(spec json.RawMessage) (C, error)
 	RenderChange(change C) any
-	ApplyChanges(problem P, changes []C) (P, error)
+	ApplyChanges(problem P, changes Changes[C]) (P, error)
 	Tightening(change C) bool
 	CloneSolution(sol S) S
 	ExtendSolution(problem P, prev S) (S, error)
@@ -48,7 +49,7 @@ type Typed[P, S, C any, E Encoding] interface {
 // returns implements DeltaEncoder exactly when its Typed value has this
 // method, since Instance.Sync branches on that assertion.
 type typedDeltaEncoder[P, C any, E Encoding] interface {
-	EncodeDelta(prev E, prevProblem P, changes []C) (*Delta, bool)
+	EncodeDelta(prev E, prevProblem P, changes Changes[C]) (*Delta, bool)
 }
 
 // problemChecker is implemented by a Typed value whose non-nil problems
@@ -146,16 +147,38 @@ func (a *adapter[P, S, C, E]) encoding(v Encoding) (E, error) {
 	return conv[E](a.name, "encoding", v)
 }
 
-func (a *adapter[P, S, C, E]) changes(vs []any) ([]C, error) {
-	cs := make([]C, len(vs))
-	for i, v := range vs {
-		c, ok := as[C](v)
-		if !ok {
-			return nil, fmt.Errorf("%s: change %d is %T, want %T", a.name, i, v, c)
+// Changes is a batch of changes that Adapt has checked to be Cs. It
+// reads them in place from the []any a Domain method was given, so
+// handing a batch to a typed method copies nothing.
+type Changes[C any] struct{ vs []any }
+
+// All yields each change with its index.
+func (cs Changes[C]) All() iter.Seq2[int, C] {
+	return func(yield func(int, C) bool) {
+		for i, v := range cs.vs {
+			if !yield(i, v.(C)) {
+				return
+			}
 		}
-		cs[i] = c
 	}
-	return cs, nil
+}
+
+// Slice copies the changes into a new []C.
+func (cs Changes[C]) Slice() []C {
+	out := make([]C, len(cs.vs))
+	for i, v := range cs.vs {
+		out[i] = v.(C)
+	}
+	return out
+}
+
+func (a *adapter[P, S, C, E]) changes(vs []any) (Changes[C], error) {
+	for i, v := range vs {
+		if c, ok := as[C](v); !ok {
+			return Changes[C]{}, fmt.Errorf("%s: change %d is %T, want %T", a.name, i, v, c)
+		}
+	}
+	return Changes[C]{vs}, nil
 }
 
 func (a *adapter[P, S, C, E]) Name() string { return a.name }

@@ -115,9 +115,9 @@ func (partDomain) ParseChange(spec json.RawMessage) (Change, error) {
 
 func (partDomain) RenderChange(c Change) any { return c }
 
-func (partDomain) ApplyChanges(pp *Problem, changes []Change) (*Problem, error) {
+func (partDomain) ApplyChanges(pp *Problem, changes domain.Changes[Change]) (*Problem, error) {
 	out := pp.Clone()
-	for i, c := range changes {
+	for i, c := range changes.All() {
 		switch c.Kind {
 		case "add-edge":
 			if c.U == c.V || c.U < 1 || c.V < 1 || c.U > out.N || c.V > out.N {

@@ -107,9 +107,9 @@ func (schedDomain) ParseChange(spec json.RawMessage) (Change, error) {
 
 func (schedDomain) RenderChange(c Change) any { return c }
 
-func (schedDomain) ApplyChanges(sp *Problem, changes []Change) (*Problem, error) {
+func (schedDomain) ApplyChanges(sp *Problem, changes domain.Changes[Change]) (*Problem, error) {
 	out := sp.Clone()
-	for i, c := range changes {
+	for i, c := range changes.All() {
 		switch c.Kind {
 		case "add-op":
 			if c.Type < 0 || c.Type >= len(out.Capacity) {
@@ -230,14 +230,14 @@ func (schedDomain) EnableTerms(se *schedEncoding, opts domain.EnableOptions) err
 // change edits nothing). add-op grows the variable set and duplicate
 // dependencies would collide by row name; both report ok=false so the
 // caller falls back to a full re-encode.
-func (schedDomain) EncodeDelta(se *schedEncoding, sp *Problem, changes []Change) (*domain.Delta, bool) {
+func (schedDomain) EncodeDelta(se *schedEncoding, sp *Problem, changes domain.Changes[Change]) (*domain.Delta, bool) {
 	if sp.NumOps != se.e.Problem.NumOps || sp.Steps != se.e.Problem.Steps ||
 		len(sp.Capacity) != len(se.e.Problem.Capacity) {
 		return nil, false // problem drifted off the encoding's variable set
 	}
 	work := sp.Clone() // working copy: validates sequential batches
 	out := &domain.Delta{}
-	for _, c := range changes {
+	for _, c := range changes.All() {
 		switch c.Kind {
 		case "add-dep":
 			if c.From < 0 || c.From >= work.NumOps || c.To < 0 || c.To >= work.NumOps || c.From == c.To {
