@@ -57,11 +57,12 @@ func FuzzDomainParseChange(f *testing.F) {
 
 // FuzzDomainParseProblem feeds arbitrary JSON to every registered
 // domain's problem decoder — the bytes a client POSTs to /v1/sessions
-// under "problem". The decoder must never panic, and an accepted problem
-// must survive the snapshot round-trip (RenderProblem → json.Marshal →
-// ParseProblem) with the same FingerprintProblem, since rehydration
-// rebuilds sessions from snapshots and the solve cache keys on the
-// fingerprint.
+// under "problem". The decoder must never panic, and a problem the
+// service admits (it parses and passes Validate, which runs before
+// anything is persisted) must survive the snapshot round-trip
+// (RenderProblem → json.Marshal → ParseProblem) with the same
+// FingerprintProblem, since rehydration rebuilds sessions from snapshots
+// and the solve cache keys on the fingerprint.
 func FuzzDomainParseProblem(f *testing.F) {
 	for _, name := range domain.Names() {
 		d, ok := domain.Get(name)
@@ -74,6 +75,7 @@ func FuzzDomainParseProblem(f *testing.F) {
 	}
 	f.Add("cnf", []byte(`{"dimacs": "p cnf 3 1\n1 -3 0\n"}`))
 	f.Add("cnf", []byte(`{"vars": 4}`))
+	f.Add("cnf", []byte(`{"dimacs": "p cnf 3 1\n0\n"}`)) // parses; Validate refuses the empty clause
 	f.Add("coloring", []byte(`{"vertices": 1000000000, "k": 1}`))
 	f.Add("sched", []byte(`{"capacity": [1], "steps": 1000000000, "types": [], "deps": []}`))
 	f.Add("partition", []byte(`{"vertices": 3, "blocks": 2, "min_size": 1, "edges": [[1, 2, 0.5]]}`))
@@ -83,7 +85,7 @@ func FuzzDomainParseProblem(f *testing.F) {
 			return // unregistered domain name — nothing to test
 		}
 		problem, err := d.ParseProblem(spec)
-		if err != nil {
+		if err != nil || d.Validate(problem) != nil {
 			return
 		}
 		wire := d.RenderProblem(problem)
