@@ -13,7 +13,7 @@ import (
 // TestAdaptErrorsBesideUntypedNil pins that an adapter error raised by
 // the typed method itself, not by a type check, still comes back beside
 // an untyped nil: core.Apply returns a nil *cnf.Formula with its error,
-// which a direct `return Apply(...)` used to box into a non-nil any.
+// which a direct `return Apply(...)` would box into a non-nil any.
 func TestAdaptErrorsBesideUntypedNil(t *testing.T) {
 	d := core.CNF()
 	p := d.(domain.Fixtured).Conformance().Problem
