@@ -137,6 +137,9 @@ func (colorDomain) ApplyChanges(cp *Problem, changes domain.Changes[Change]) (*P
 			return nil, fmt.Errorf("coloring: change %d has unknown kind %q", i, c.Kind)
 		}
 	}
+	if err := domain.CheckColumns("coloring", out.G.N, out.K); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -139,14 +139,20 @@ func TestColoringEncodeDelta(t *testing.T) {
 // the graph is allocated.
 func TestParseProblemSizeBound(t *testing.T) {
 	for _, spec := range []string{
-		fmt.Sprintf(`{"vertices": %d, "k": 1}`, domain.MaxColumns),
+		fmt.Sprintf(`{"vertices": %d, "k": 1}`, domain.MaxColumns+1),
 		fmt.Sprintf(`{"vertices": 0, "k": %d}`, domain.MaxColumns+1),
+		`{"vertices": 1025, "k": 1024}`,
 	} {
 		if _, err := Domain().ParseProblem([]byte(spec)); err == nil {
 			t.Errorf("ParseProblem(%s) accepted a problem over the bound", spec)
 		}
 	}
-	if _, err := Domain().ParseProblem([]byte(fmt.Sprintf(`{"vertices": 0, "k": %d}`, domain.MaxColumns))); err != nil {
-		t.Errorf("problem at the bound rejected: %v", err)
+	for _, spec := range []string{
+		fmt.Sprintf(`{"vertices": 0, "k": %d}`, domain.MaxColumns),
+		`{"vertices": 1024, "k": 1024}`,
+	} {
+		if _, err := Domain().ParseProblem([]byte(spec)); err != nil {
+			t.Errorf("problem at the bound rejected: %v", err)
+		}
 	}
 }

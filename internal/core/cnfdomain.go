@@ -204,7 +204,14 @@ func (d *cnfDomain) RenderChange(c Change) any {
 }
 
 func (d *cnfDomain) ApplyChanges(f *cnf.Formula, changes domain.Changes[Change]) (*cnf.Formula, error) {
-	return Apply(f, changes.Slice())
+	out, err := Apply(f, changes.Slice())
+	if err != nil {
+		return nil, err
+	}
+	if err := domain.CheckColumns("cnf", out.NumVars, 2); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (d *cnfDomain) Tightening(c Change) bool { return c.Tightening() }

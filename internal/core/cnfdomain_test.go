@@ -92,7 +92,7 @@ func TestCNFDomainFastRegionSizes(t *testing.T) {
 // variables than domain.MaxColumns admits is rejected at parse time,
 // whether by the vars field, the DIMACS header or a literal.
 func TestParseProblemSizeBound(t *testing.T) {
-	over := domain.MaxColumns / 2 // 2·(over+1) columns: the smallest count over the bound
+	over := domain.MaxColumns/2 + 1 // 2·over columns: the smallest count over the bound
 	for name, spec := range map[string]string{
 		"vars":    fmt.Sprintf(`{"vars": %d, "clauses": [[1]]}`, over),
 		"header":  fmt.Sprintf(`{"dimacs": "p cnf %d 1\n1 0\n"}`, over),

@@ -303,21 +303,21 @@ type Domain interface {
 	FingerprintSolution(w io.Writer, sol any)
 }
 
-// MaxColumns bounds the ILP encoding a parsed problem may declare. Every
-// built-in ParseProblem rejects a problem whose declared counts would
-// encode to more columns, before it allocates anything sized by them, so
-// a small request cannot make parsing or the first solve allocate
-// without bound. It is about 145 times the largest in-repo instance (the
+// MaxColumns bounds the ILP encoding of a problem. Every built-in
+// ParseProblem rejects a problem whose declared counts would encode to
+// more columns, before it allocates anything sized by them, so a small
+// request cannot make parsing or the first solve allocate without bound;
+// every built-in ApplyChanges rejects a batch that would grow a problem
+// past it, so every problem a session holds parses again from its
+// rendered form. It is about 145 times the largest in-repo instance (the
 // g250.29 coloring, 7,250 columns).
 const MaxColumns = 1 << 20
 
 // CheckColumns returns an error when units decision units of per columns
-// each would encode to more than MaxColumns columns. It counts one unit
-// more than declared, so per stays bounded while no unit exists yet and
-// a first added unit cannot cross the limit. units and per must be
-// non-negative.
+// each would encode to more than MaxColumns columns. units and per must
+// be non-negative.
 func CheckColumns(name string, units, per int) error {
-	if units >= MaxColumns || per > MaxColumns || (units+1)*per > MaxColumns {
+	if units > MaxColumns || per > MaxColumns || int64(units)*int64(per) > MaxColumns {
 		return fmt.Errorf("%s: %d units of %d columns exceed the %d-column encoding limit", name, units, per, MaxColumns)
 	}
 	return nil

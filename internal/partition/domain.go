@@ -147,6 +147,9 @@ func (partDomain) ApplyChanges(pp *Problem, changes domain.Changes[Change]) (*Pr
 			return nil, fmt.Errorf("partition: change %d has unknown kind %q", i, c.Kind)
 		}
 	}
+	if err := domain.CheckColumns("partition", out.N, out.Blocks); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

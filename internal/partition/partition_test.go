@@ -187,14 +187,20 @@ func TestFastRepartitionEscalationStaysPartial(t *testing.T) {
 // parse time.
 func TestParseProblemSizeBound(t *testing.T) {
 	for _, spec := range []string{
-		fmt.Sprintf(`{"vertices": %d, "blocks": 1, "edges": []}`, domain.MaxColumns),
+		fmt.Sprintf(`{"vertices": %d, "blocks": 1, "edges": []}`, domain.MaxColumns+1),
 		fmt.Sprintf(`{"vertices": 0, "blocks": %d, "edges": []}`, domain.MaxColumns+1),
+		`{"vertices": 1025, "blocks": 1024, "edges": []}`,
 	} {
 		if _, err := Domain().ParseProblem([]byte(spec)); err == nil {
 			t.Errorf("ParseProblem(%s) accepted a problem over the bound", spec)
 		}
 	}
-	if _, err := Domain().ParseProblem([]byte(fmt.Sprintf(`{"vertices": 0, "blocks": %d, "edges": []}`, domain.MaxColumns))); err != nil {
-		t.Errorf("problem at the bound rejected: %v", err)
+	for _, spec := range []string{
+		fmt.Sprintf(`{"vertices": 0, "blocks": %d, "edges": []}`, domain.MaxColumns),
+		`{"vertices": 1024, "blocks": 1024, "edges": []}`,
+	} {
+		if _, err := Domain().ParseProblem([]byte(spec)); err != nil {
+			t.Errorf("problem at the bound rejected: %v", err)
+		}
 	}
 }

@@ -134,6 +134,9 @@ func (schedDomain) ApplyChanges(sp *Problem, changes domain.Changes[Change]) (*P
 			return nil, fmt.Errorf("sched: change %d has unknown kind %q", i, c.Kind)
 		}
 	}
+	if err := domain.CheckColumns("sched", out.NumOps, out.Steps); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -159,13 +159,18 @@ func TestSchedEncodeDeltaVacuousCapacity(t *testing.T) {
 func TestParseProblemSizeBound(t *testing.T) {
 	for _, spec := range []string{
 		fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [], "deps": []}`, domain.MaxColumns+1),
-		fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [0], "deps": []}`, domain.MaxColumns/2+1),
+		fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [0, 0], "deps": []}`, domain.MaxColumns/2+1),
 	} {
 		if _, err := Domain().ParseProblem([]byte(spec)); err == nil {
 			t.Errorf("ParseProblem(%s) accepted a problem over the bound", spec)
 		}
 	}
-	if _, err := Domain().ParseProblem([]byte(fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [], "deps": []}`, domain.MaxColumns))); err != nil {
-		t.Errorf("problem at the bound rejected: %v", err)
+	for _, spec := range []string{
+		fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [], "deps": []}`, domain.MaxColumns),
+		fmt.Sprintf(`{"capacity": [1], "steps": %d, "types": [0, 0], "deps": []}`, domain.MaxColumns/2),
+	} {
+		if _, err := Domain().ParseProblem([]byte(spec)); err != nil {
+			t.Errorf("problem at the bound rejected: %v", err)
+		}
 	}
 }

@@ -69,7 +69,7 @@ func TestHTTPStructuredErrors(t *testing.T) {
 		// Declared counts that would encode past domain.MaxColumns are
 		// refused before anything sized by them is allocated.
 		"oversized problem": {
-			body:     map[string]any{"domain": "coloring", "problem": map[string]any{"vertices": domain.MaxColumns, "k": 1}},
+			body:     map[string]any{"domain": "coloring", "problem": map[string]any{"vertices": domain.MaxColumns + 1, "k": 1}},
 			wantCode: "bad_problem",
 		},
 		"missing problem": {
