@@ -68,7 +68,10 @@ type problemChecker[P any] interface {
 // (nil, false), and every other method returns an error. A method that
 // returns an error returns untyped nil values beside it.
 func Adapt[P, S, C any, E Encoding](t Typed[P, S, C, E]) Domain {
-	a := &adapter[P, S, C, E]{t: t, name: t.Name()}
+	a := &adapter[P, S, C, E]{
+		t: t, name: t.Name(),
+		nilP: nilable[P](), nilS: nilable[S](), nilC: nilable[C](), nilE: nilable[E](),
+	}
 	if pc, ok := t.(problemChecker[P]); ok {
 		a.usable = pc.Usable
 	}
@@ -82,6 +85,9 @@ type adapter[P, S, C any, E Encoding] struct {
 	t      Typed[P, S, C, E]
 	name   string
 	usable func(P) bool
+	// Whether a P, S, C or E can be nil, decided once so that values of
+	// a struct type never reach reflect.
+	nilP, nilS, nilC, nilE bool
 }
 
 type deltaAdapter[P, S, C any, E Encoding] struct {
@@ -89,11 +95,21 @@ type deltaAdapter[P, S, C any, E Encoding] struct {
 	de typedDeltaEncoder[P, C, E]
 }
 
-// as asserts v to T and rejects a nil pointer, slice or map of that type.
-// reflect.ValueOf on an interface value allocates nothing.
-func as[T any](v any) (T, bool) {
+// nilable reports whether a T can be, or for an interface type hold, a
+// nil pointer, slice or map.
+func nilable[T any]() bool {
+	switch reflect.TypeFor[T]().Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface:
+		return true
+	}
+	return false
+}
+
+// as asserts v to T and, when T is nilable, rejects a nil pointer, slice
+// or map. reflect.ValueOf on an interface value allocates nothing.
+func as[T any](v any, nilable bool) (T, bool) {
 	t, ok := v.(T)
-	if ok {
+	if ok && nilable {
 		switch rv := reflect.ValueOf(v); rv.Kind() {
 		case reflect.Pointer, reflect.Slice, reflect.Map:
 			ok = !rv.IsNil()
@@ -111,8 +127,8 @@ func untyped[T any](v T, err error) (any, error) {
 }
 
 // conv asserts v to T like as, naming what v is in the error.
-func conv[T any](name, what string, v any) (T, error) {
-	t, ok := as[T](v)
+func conv[T any](name, what string, v any, nilable bool) (T, error) {
+	t, ok := as[T](v, nilable)
 	if !ok {
 		return t, fmt.Errorf("%s: %s is %T, want %T", name, what, v, t)
 	}
@@ -120,7 +136,7 @@ func conv[T any](name, what string, v any) (T, error) {
 }
 
 func (a *adapter[P, S, C, E]) problem(v any) (P, error) {
-	p, err := conv[P](a.name, "problem", v)
+	p, err := conv[P](a.name, "problem", v, a.nilP)
 	if err == nil && a.usable != nil && !a.usable(p) {
 		var zero P
 		return zero, fmt.Errorf("%s: problem is %T, want %T", a.name, v, zero)
@@ -129,7 +145,7 @@ func (a *adapter[P, S, C, E]) problem(v any) (P, error) {
 }
 
 func (a *adapter[P, S, C, E]) solution(v any) (S, error) {
-	return conv[S](a.name, "solution", v)
+	return conv[S](a.name, "solution", v, a.nilS)
 }
 
 // both converts a problem and a solution.
@@ -144,7 +160,7 @@ func (a *adapter[P, S, C, E]) both(problem, sol any) (P, S, error) {
 }
 
 func (a *adapter[P, S, C, E]) encoding(v Encoding) (E, error) {
-	return conv[E](a.name, "encoding", v)
+	return conv[E](a.name, "encoding", v, a.nilE)
 }
 
 // Changes is a batch of changes that Adapt has checked to be Cs. It
@@ -174,7 +190,7 @@ func (cs Changes[C]) Slice() []C {
 
 func (a *adapter[P, S, C, E]) changes(vs []any) (Changes[C], error) {
 	for i, v := range vs {
-		if c, ok := as[C](v); !ok {
+		if c, ok := as[C](v, a.nilC); !ok {
 			return Changes[C]{}, fmt.Errorf("%s: change %d is %T, want %T", a.name, i, v, c)
 		}
 	}
@@ -226,7 +242,7 @@ func (a *adapter[P, S, C, E]) ParseChange(spec json.RawMessage) (any, error) {
 }
 
 func (a *adapter[P, S, C, E]) RenderChange(change any) any {
-	c, ok := as[C](change)
+	c, ok := as[C](change, a.nilC)
 	if !ok {
 		return nil
 	}
@@ -246,7 +262,7 @@ func (a *adapter[P, S, C, E]) ApplyChanges(problem any, changes []any) (any, err
 }
 
 func (a *adapter[P, S, C, E]) Tightening(change any) bool {
-	c, ok := as[C](change)
+	c, ok := as[C](change, a.nilC)
 	return ok && a.t.Tightening(c)
 }
 
